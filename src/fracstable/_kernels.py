@@ -1,33 +1,12 @@
-"""Hot numerical kernels with a numba fast path and a pure-numpy fallback.
-
-Backend selection: set FRACSTABLE_BACKEND=numpy to force the fallback, or
-FRACSTABLE_BACKEND=numba to require the compiled path (ImportError if numba
-is unavailable).  Default: numba when importable, else numpy.  Both paths
-produce bit-identical results; the benchmark script in benchmarks/ compares
-their throughput.
-"""
-
-import os
+"""Reflection kernel for the random-walk path simulator."""
 
 import numpy as np
 
-_CHOICE = os.environ.get("FRACSTABLE_BACKEND", "auto").lower()
-if _CHOICE not in ("auto", "numba", "numpy"):
-    raise ValueError("FRACSTABLE_BACKEND must be 'numba' or 'numpy'")
-
-_HAVE_NUMBA = False
-if _CHOICE in ("auto", "numba"):
-    try:
-        from numba import njit
-        _HAVE_NUMBA = True
-    except ImportError:
-        if _CHOICE == "numba":
-            raise
-
-BACKEND = "numba" if _HAVE_NUMBA else "numpy"
+# the one backend; kept as a name because benchmark results stamp it
+BACKEND = "numpy"
 
 
-def _reflected_terminal_np(inc, at_sup):
+def reflected_terminal(inc, at_sup):
     """Terminal reflected values from an (n_paths, n_steps) increment array.
 
     at_sup True : S_1 - Z_1 (reflect at running supremum)
@@ -40,61 +19,3 @@ def _reflected_terminal_np(inc, at_sup):
         return s - z[:, -1]
     i = np.minimum(np.minimum.accumulate(z, axis=1)[:, -1], 0.0)
     return z[:, -1] - i
-
-
-def _row_sums_np(inc):
-    # cumsum accumulates left to right, the same rounding sequence as the
-    # compiled loop, so both backends agree bit for bit
-    return np.cumsum(inc, axis=1)[:, -1]
-
-
-if _HAVE_NUMBA:
-
-    @njit(cache=True)
-    def _reflected_terminal_nb(inc, at_sup):
-        n_paths, n_steps = inc.shape
-        out = np.empty(n_paths)
-        for p in range(n_paths):
-            z = 0.0
-            s = 0.0
-            i = 0.0
-            for k in range(n_steps):
-                z += inc[p, k]
-                if z > s:
-                    s = z
-                if z < i:
-                    i = z
-            out[p] = (s - z) if at_sup else (z - i)
-        return out
-
-    @njit(cache=True)
-    def _row_sums_nb(inc):
-        n_paths, n_steps = inc.shape
-        out = np.empty(n_paths)
-        for p in range(n_paths):
-            z = 0.0
-            for k in range(n_steps):
-                z += inc[p, k]
-            out[p] = z
-        return out
-
-    def reflected_terminal(inc, at_sup):
-        return _reflected_terminal_nb(np.ascontiguousarray(inc), at_sup)
-
-    def _row_sums(inc):
-        return _row_sums_nb(np.ascontiguousarray(inc))
-
-else:
-    reflected_terminal = _reflected_terminal_np
-    _row_sums = _row_sums_np
-
-
-def walk_laplace(inc, lam):
-    """MC mean of exp(lam * Z_1) over the rows of the increment array.
-
-    The exponential/mean stage is shared numpy code; only the row reduction
-    differs by backend (and is bit-identical across them)."""
-    return float(np.mean(np.exp(lam * _row_sums(inc))))
-
-
-reflected_terminal.__doc__ = _reflected_terminal_np.__doc__

@@ -73,6 +73,18 @@ def valpha_pdf(alpha, t):
     return float(out) if out.ndim == 0 else out
 
 
+def _valpha_smooth(alpha):
+    """The integrand v_alpha(t) / t^{alpha-2}, bounded near t = 0."""
+    k = -sinpi(alpha) / math.pi
+    ca = cospi(alpha)
+
+    def smooth(t):
+        ta = t ** alpha
+        return k * (1.0 + t) / (ta * ta - 2.0 * ta * ca + 1.0)
+
+    return smooth
+
+
 def yalpha_pdf(alpha, t):
     """Density of Y_alpha; equals t * valpha_pdf(alpha, t) identically."""
     arr = np.asarray(t, dtype=float)
@@ -219,7 +231,7 @@ def _iminus_alternating(alpha, term_fn):
     return total
 
 
-def iminus_pdf(alpha, t, n_terms=None):
+def iminus_pdf(alpha, t):
     """Series density f_-(t) = C_a sum (-1)^n G(n+1+1/a)/G(a(n+1)) t^{-(n+1+1/a)}.
 
     Only usable where the alternating series is float-summable; too-small t
@@ -236,8 +248,6 @@ def iminus_pdf(alpha, t, n_terms=None):
     def term(n):
         # log-space: the Gamma ratio and the power can each overflow float64
         # range separately at large n while their product is still moderate
-        if n_terms is not None and n >= n_terms:
-            return 0.0
         return (-1.0) ** n * math.exp(gammaln(n + 1.0 + ia)
                                       - gammaln(alpha * (n + 1.0))
                                       - (n + 1.0 + ia) * lt)
@@ -421,10 +431,7 @@ def _valpha_table(alpha):
     t = w / (1.0 - w)
     k = -sinpi(alpha) / math.pi
     p = 1.0 / (alpha - 1.0)
-
-    def smooth(u):  # v_alpha(u) / u^{alpha-2}
-        ua = u ** alpha
-        return k * (1.0 + u) / (ua * ua - 2.0 * ua * cospi(alpha) + 1.0)
+    smooth = _valpha_smooth(alpha)
 
     # CDF at the first node: substitute u = t0 s^{1/(alpha-1)}
     t0 = t[0]
@@ -483,13 +490,8 @@ def kernel_apply(f, alpha, x, cfg=DEFAULT_CFG):
     fv = f.eval_f if hasattr(f, "eval_f") else f
     if x == 0.0:
         return fv(0.0)
-    k = -sinpi(alpha) / math.pi
-    ca = cospi(alpha)
     p = 1.0 / (alpha - 1.0)
-
-    def smooth(t):  # v_alpha(t) / t^{alpha-2}
-        ta = t ** alpha
-        return k * (1.0 + t) / (ta * ta - 2.0 * ta * ca + 1.0)
+    smooth = _valpha_smooth(alpha)
 
     below, _ = adaptive_quad(
         lambda s: fv(x * s ** p) * smooth(s ** p), 0.0, 1.0, cfg)
@@ -505,12 +507,8 @@ def kernel_apply_d2(f, alpha, x, cfg=DEFAULT_CFG):
     alpha = _alpha_of(alpha)
     if x < 0.0:
         raise DomainError("kernel_apply_d2 requires x >= 0")
-    k = -sinpi(alpha) / math.pi
-    ca = cospi(alpha)
     p = 1.0 / (alpha - 1.0)
-    def smooth(t):
-        ta = t ** alpha
-        return k * (1.0 + t) / (ta * ta - 2.0 * ta * ca + 1.0)
+    smooth = _valpha_smooth(alpha)
 
     below, _ = adaptive_quad(
         lambda s: s ** (2.0 * p) * f.eval_f2(x * s ** p) * smooth(s ** p),
@@ -534,13 +532,8 @@ def valpha_moment_quad(alpha, s, cfg=DEFAULT_CFG):
     alpha = _alpha_of(alpha)
     if not (1.0 - alpha) < s < alpha:
         raise DomainError("s outside (1-alpha, alpha)")
-    k = -sinpi(alpha) / math.pi
-    ca = cospi(alpha)
     p = 1.0 / (alpha - 1.0)
-
-    def smooth(t):
-        ta = t ** alpha
-        return k * (1.0 + t) / (ta * ta - 2.0 * ta * ca + 1.0)
+    smooth = _valpha_smooth(alpha)
 
     below, _ = adaptive_quad(
         lambda u: u ** (p * s) * smooth(u ** p), 0.0, 1.0, cfg)

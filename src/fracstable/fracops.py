@@ -122,7 +122,7 @@ def rl_left_alpha_minus1(g, alpha, x, cfg=DEFAULT_CFG):
     return val + g.eval_f(0.0) * x ** (1.0 - alpha) / gamma(2.0 - alpha)
 
 
-def _right_core(dfun, kappa, gam, x, cfg, scale_probe=1.0):
+def _right_core(dfun, kappa, gam, x, cfg):
     """int_0^inf u^{-kappa} dfun(x+u) du for kappa in (0,1), plus tail bound.
 
     gam is the certified decay exponent of dfun; the tail beyond the cutoff

@@ -5,7 +5,6 @@ exponents (psi, psi_minus) rely on the convention 1/Gamma(nonpositive
 integer) = 0 holding exactly.  ``rgamma`` therefore returns an exact 0.0 at
 the poles instead of propagating an inf through a division.
 
-Plain ``math`` only, so the functions compile under numba when needed.
 Accuracy is around 1e-14 relative away from poles (tested against scipy).
 """
 
@@ -42,9 +41,6 @@ def sinpi(x):
     return s if (int(n) % 2 == 0) else -s
 
 
-_sinpi_signed = sinpi
-
-
 def cospi(x):
     """cos(pi*x) via the shifted sine reduction."""
     return sinpi(x + 0.5)
@@ -73,7 +69,7 @@ def gamma(x):
     if x == math.floor(x):
         return math.inf
     # reflection: Gamma(x) Gamma(1-x) = pi / sin(pi x)
-    s = _sinpi_signed(x)
+    s = sinpi(x)
     return _PI / (s * _lanczos_gamma(1.0 - x))
 
 
@@ -87,7 +83,7 @@ def rgamma(x):
         return 1.0 / _lanczos_gamma(x)
     if x == math.floor(x):
         return 0.0
-    s = _sinpi_signed(x)
+    s = sinpi(x)
     return s * _lanczos_gamma(1.0 - x) / _PI
 
 
@@ -96,7 +92,7 @@ def gammaln(x):
     if x <= 0.0:
         raise ValueError("gammaln requires x > 0")
     if x < 0.5:
-        return math.log(_PI / _sinpi_signed(x)) - gammaln(1.0 - x)
+        return math.log(_PI / sinpi(x)) - gammaln(1.0 - x)
     z = x - 1.0
     acc = _LANCZOS[0]
     for i in range(1, 9):

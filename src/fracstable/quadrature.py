@@ -44,11 +44,11 @@ class QuadratureConfig:
 DEFAULT_CFG = QuadratureConfig()
 
 
-def adaptive_quad(fun, a, b, cfg=DEFAULT_CFG, points=None, strict=True):
+def adaptive_quad(fun, a, b, cfg=DEFAULT_CFG, points=None):
     """Integrate fun over [a, b] (b may be inf), returning (value, err_bound).
 
     Raises EvaluationError when the integrator's own error estimate is far
-    beyond the requested tolerance and strict is set.
+    beyond the requested tolerance.
     """
     kwargs = dict(epsabs=cfg.abs_tol, epsrel=cfg.rel_tol,
                   limit=cfg.max_subdivisions)
@@ -57,7 +57,7 @@ def adaptive_quad(fun, a, b, cfg=DEFAULT_CFG, points=None, strict=True):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", _si.IntegrationWarning)
         val, err = _si.quad(fun, a, b, **kwargs)
-    if strict and err > 100.0 * max(cfg.abs_tol, cfg.rel_tol * abs(val)):
+    if err > 100.0 * max(cfg.abs_tol, cfg.rel_tol * abs(val)):
         raise EvaluationError(
             "quadrature error estimate %.3g exceeds tolerance budget" % err,
             partial=val, bound=err)
