@@ -7,6 +7,7 @@ Xhat1 = T1^{-1/alpha}, and the exponential functional I_minus (series
 density, Gamma-formula moments, Mellin-residue Laplace transform).
 """
 
+import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -22,6 +23,7 @@ from .specfun import _alpha_of
 
 _BLOCK = 1 << 16          # sub-stream block length for parallel-safe sampling
 _TABLE_NODES = 1 << 10    # inverse-CDF table resolution for V_alpha
+_TABLE_CACHE_SIZE = 8     # V_alpha tables kept, one per alpha
 
 
 class Law(Enum):
@@ -66,11 +68,26 @@ def valpha_pdf(alpha, t):
     arr = np.asarray(t, dtype=float)
     if np.any(arr <= 0.0):
         raise DomainError("valpha_pdf requires t > 0")
-    s, c = sinpi(alpha), cospi(alpha)
-    ta = arr ** alpha
-    out = (-s) * arr ** (alpha - 2.0) * (1.0 + arr) \
-        / (math.pi * (ta * ta - 2.0 * ta * c + 1.0))
+    out = _valpha_density(alpha)(arr)
     return float(out) if out.ndim == 0 else out
+
+
+def _valpha_density(alpha):
+    """valpha_pdf's formula with its alpha-only constants computed once.
+
+    The closure takes a float t > 0 or an array of them and checks nothing:
+    quadrature integrands call it with plain floats, skipping valpha_pdf's
+    per-call numpy conversion and domain check.
+    """
+    ms, c = -sinpi(alpha), cospi(alpha)
+    am2 = alpha - 2.0
+
+    def pdf(t):
+        ta = t ** alpha
+        return ms * t ** am2 * (1.0 + t) \
+            / (math.pi * (ta * ta - 2.0 * ta * c + 1.0))
+
+    return pdf
 
 
 def _valpha_smooth(alpha):
@@ -418,13 +435,14 @@ def xhat_sample(alpha, n, seed):
 
 # --- V_alpha inverse-CDF sampler -------------------------------------------
 
-_VTABLE_CACHE = {}
-
-
 def _valpha_table(alpha):
-    key = round(alpha, 12)
-    if key in _VTABLE_CACHE:
-        return _VTABLE_CACHE[key]
+    # alphas that differ only in float noise share one table
+    return _valpha_table_at(round(alpha, 12))
+
+
+@functools.lru_cache(maxsize=_TABLE_CACHE_SIZE)
+def _valpha_table_at(alpha):
+    """Inverse-CDF table of V_alpha, kept for the most recent alphas."""
     n = _TABLE_NODES
     j = np.arange(n)
     w = 0.5 * (1.0 - np.cos(math.pi * (j + 0.5) / n))  # Chebyshev on (0,1)
@@ -432,6 +450,7 @@ def _valpha_table(alpha):
     k = -sinpi(alpha) / math.pi
     p = 1.0 / (alpha - 1.0)
     smooth = _valpha_smooth(alpha)
+    pdf = _valpha_density(alpha)
 
     # CDF at the first node: substitute u = t0 s^{1/(alpha-1)}
     t0 = t[0]
@@ -439,14 +458,12 @@ def _valpha_table(alpha):
     cdf = np.empty(n)
     cdf[0] = head * t0 ** (alpha - 1.0) * p
     for i in range(1, n):
-        seg, _ = adaptive_quad(lambda u: valpha_pdf(alpha, u), t[i - 1], t[i])
+        seg, _ = adaptive_quad(pdf, t[i - 1], t[i])
         cdf[i] = cdf[i - 1] + seg
     if not np.all(np.diff(cdf) > 0.0) or cdf[-1] >= 1.0:
         raise SamplerError("V_alpha CDF table is not strictly monotone")
     inv = PchipInterpolator(cdf, w, extrapolate=False)
-    table = {"cdf": cdf, "w": w, "inv": inv, "k": k}
-    _VTABLE_CACHE[key] = table
-    return table
+    return {"cdf": cdf, "w": w, "inv": inv, "k": k}
 
 
 def _valpha_block(alpha, table, rng, m):
@@ -492,23 +509,29 @@ def kernel_apply(f, alpha, x, cfg=DEFAULT_CFG):
         return fv(0.0)
     p = 1.0 / (alpha - 1.0)
     smooth = _valpha_smooth(alpha)
+    pdf = _valpha_density(alpha)
 
     below, _ = adaptive_quad(
         lambda s: fv(x * s ** p) * smooth(s ** p), 0.0, 1.0, cfg)
     below *= p
     above, _ = adaptive_quad(
-        lambda r: fv(x / r) * valpha_pdf(alpha, 1.0 / r) / (r * r),
+        lambda r: fv(x / r) * pdf(1.0 / r) / (r * r),
         0.0, 1.0, cfg, points=[x] if 0.0 < x < 1.0 else None)
     return below + above
 
 
 def kernel_apply_d2(f, alpha, x, cfg=DEFAULT_CFG):
-    """(V_alpha f)''(x) = E[V_alpha^2 f''(x V_alpha)] for f in the domain D."""
+    """(V_alpha f)''(x) = E[V_alpha^2 f''(x V_alpha)] for f in the domain D.
+
+    Defined for x > 0 only: at x = 0 it would be E[V_alpha^2] f''(0), which
+    diverges, because V_alpha has moments only of order s < alpha < 2.
+    """
     alpha = _alpha_of(alpha)
-    if x < 0.0:
-        raise DomainError("kernel_apply_d2 requires x >= 0")
+    if x <= 0.0:
+        raise DomainError("kernel_apply_d2 requires x > 0")
     p = 1.0 / (alpha - 1.0)
     smooth = _valpha_smooth(alpha)
+    pdf = _valpha_density(alpha)
 
     below, _ = adaptive_quad(
         lambda s: s ** (2.0 * p) * f.eval_f2(x * s ** p) * smooth(s ** p),
@@ -519,7 +542,7 @@ def kernel_apply_d2(f, alpha, x, cfg=DEFAULT_CFG):
     # a few e-foldings each, whatever the ratio of the two scales
     def above_log(m):
         u = math.exp(m)
-        return valpha_pdf(alpha, u / x) * (u / x) ** 2 * f.eval_f2(u) * u / x
+        return pdf(u / x) * (u / x) ** 2 * f.eval_f2(u) * u / x
 
     above, _ = adaptive_quad(above_log, math.log(x),
                              math.log(cfg.tail_cutoff), cfg,
@@ -534,11 +557,12 @@ def valpha_moment_quad(alpha, s, cfg=DEFAULT_CFG):
         raise DomainError("s outside (1-alpha, alpha)")
     p = 1.0 / (alpha - 1.0)
     smooth = _valpha_smooth(alpha)
+    pdf = _valpha_density(alpha)
 
     below, _ = adaptive_quad(
         lambda u: u ** (p * s) * smooth(u ** p), 0.0, 1.0, cfg)
     below *= p
     above, _ = adaptive_quad(
-        lambda r: r ** (-s) * valpha_pdf(alpha, 1.0 / r) / (r * r),
+        lambda r: r ** (-s) * pdf(1.0 / r) / (r * r),
         0.0, 1.0, cfg)
     return below + above

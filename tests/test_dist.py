@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from fracstable.dist import (Law, c_alpha, iminus_laplace, iminus_laplace_quad,
+from fracstable.dist import (Law, _valpha_density, _valpha_table_at, c_alpha,
+                             iminus_laplace, iminus_laplace_quad,
                              iminus_moment, iminus_pdf, iminus_tail_integral,
                              kernel_apply, kernel_apply_d2, mom_V, mom_X,
                              mom_Xhat, mom_Y, positive_stable_sample,
@@ -11,6 +12,7 @@ from fracstable.dist import (Law, c_alpha, iminus_laplace, iminus_laplace_quad,
                              valpha_pdf, valpha_sample, xhat_sample,
                              yalpha_pdf, zbeta_pdf)
 from fracstable.errors import DomainError, EvaluationError
+from fracstable.gammafn import cospi, sinpi
 from fracstable.testfuncs import REGISTRY
 
 ALPHAS = (1.2, 1.5, 1.8)
@@ -88,6 +90,29 @@ def test_moment_domain_guards():
         valpha_pdf(1.5, 0.0)
 
 
+def _valpha_pdf_reference(alpha, t):
+    # reference: the density's numpy expression, written out apart from dist
+    s, c = sinpi(alpha), cospi(alpha)
+    ta = t ** alpha
+    return (-s) * t ** (alpha - 2.0) * (1.0 + t) \
+        / (math.pi * (ta * ta - 2.0 * ta * c + 1.0))
+
+
+def test_valpha_density_closure_matches_numpy_formula():
+    # arrays go through numpy pow and must not move; plain floats go through
+    # libm pow, which may differ by an ulp, amplified near alpha = 2 where
+    # the denominator cancels around t = 1
+    t = np.exp(np.random.default_rng(5).uniform(-25.0, 25.0, 20_000))
+    for a, rel in ((1.0 + 1e-6, 1e-12), (1.2, 1e-14), (1.5, 1e-14),
+                   (1.8, 1e-14), (2.0 - 1e-6, 1e-12)):
+        ref = _valpha_pdf_reference(a, t)
+        np.testing.assert_array_equal(valpha_pdf(a, t), ref)
+        assert valpha_pdf(a, float(t[0])) == float(ref[0])
+        pdf = _valpha_density(a)
+        scalar = np.array([pdf(v) for v in t.tolist()])
+        np.testing.assert_allclose(scalar, ref, rtol=rel, atol=0.0)
+
+
 # ---------------------------------------------------------------------------
 # I_minus
 
@@ -124,11 +149,19 @@ def test_iminus_pdf_quadrature_matches_termwise_tail():
 
 def test_iminus_pdf_small_t_raises_instead_of_garbage():
     # the series is float-summable only for t large enough; below that the
-    # evaluation must refuse, never return a wrong number silently
-    for a, t in ((1.5, 0.01), (1.5, 0.05), (1.5, 0.08), (1.2, 0.05),
-                 (1.2, 0.2), (1.8, 0.01)):
-        with pytest.raises(EvaluationError):
+    # evaluation must refuse, never return a wrong number silently, and the
+    # refusal carries the partial sum and a finite error bound
+    for a, t in ((1.5, 0.01), (1.5, 0.05), (1.5, 0.08), (1.2, 0.2),
+                 (1.8, 0.01)):
+        with pytest.raises(EvaluationError) as err:
             iminus_pdf(a, t)
+        assert math.isfinite(err.value.partial)
+        assert math.isfinite(err.value.bound) and err.value.bound > 0.0
+    # a series term beyond float range leaves the error unbounded
+    with pytest.raises(EvaluationError) as err:
+        iminus_pdf(1.2, 0.05)
+    assert math.isfinite(err.value.partial)
+    assert err.value.bound == math.inf
 
 
 def test_iminus_laplace_routes_agree():
@@ -168,6 +201,22 @@ def test_sample_population_metadata():
     assert pop.n == 100 and pop.seed == 3
     with pytest.raises(DomainError):
         valpha_sample(1.5, 0, 3)
+
+
+def test_valpha_table_built_once_per_alpha_and_cache_bounded():
+    # 1.4321 is an alpha no other test samples at
+    before = _valpha_table_at.cache_info()
+    first = valpha_sample(1.4321, 100, 1)
+    second = valpha_sample(1.4321 + 1e-14, 100, 1)
+    after = _valpha_table_at.cache_info()
+    assert after.misses - before.misses == 1
+    assert after.hits - before.hits == 1
+    np.testing.assert_array_equal(first.values, second.values)
+    size = after.maxsize
+    assert size is not None
+    for i in range(size + 1):
+        valpha_sample(1.01 + 0.01 * i, 10, 1)
+    assert _valpha_table_at.cache_info().currsize == size
 
 
 def test_positive_stable_laplace_transform():
@@ -235,6 +284,13 @@ def test_kernel_apply_d2_matches_finite_difference():
                   + kernel_apply(GAUSS, a, x - h)) / (h * h)
             assert kernel_apply_d2(GAUSS, a, x) == pytest.approx(fd,
                                                                  rel=1e-5)
+
+
+def test_kernel_apply_d2_rejects_nonpositive_x():
+    # at x = 0 the value would be E[V^2] f''(0), and E[V^2] diverges
+    for x in (0.0, -1.0):
+        with pytest.raises(DomainError, match="x > 0"):
+            kernel_apply_d2(GAUSS, 1.5, x)
 
 
 def test_kernel_apply_constant_function():
