@@ -22,7 +22,7 @@ from .dist import (Law, LawTag, SamplePopulation, c_alpha, iminus_laplace,
                    valpha_moment_quad, valpha_pdf, valpha_sample, xhat_sample,
                    yalpha_pdf, zbeta_pdf)
 from .pathsim import PathConfig, Reflect, bias_calibration, simulate_reflected
-from .resolvent import (Side, rep_pointwise, u1_apply, u1_density, u1_mass,
+from .resolvent import (rep_pointwise, u1_apply, u1_density, u1_mass,
                         u1_resolvent_function, uhat1_apply, uhat1_density,
                         uhat1_mass, uhat1_resolvent_function)
 from .verify import (VerificationReport, check_cm, check_factorization,
@@ -36,7 +36,7 @@ __all__ = [
     "BACKEND", "DEFAULT_CFG", "DomainError", "EvaluationError", "F_family",
     "F_remainders", "FracstableError", "GeneralIndex", "Law", "LawTag",
     "MLEvaluation", "MLRegime", "PathConfig", "QuadratureConfig", "Reflect",
-    "RootNotFoundError", "SamplePopulation", "SamplerError", "Side",
+    "RootNotFoundError", "SamplePopulation", "SamplerError",
     "SmoothTestFunction", "StabilityIndex", "TEST_FUNCTIONS",
     "VerificationReport", "adaptive_quad", "bias_calibration", "c_alpha",
     "caputo", "check_cm", "check_factorization", "check_identity_law",

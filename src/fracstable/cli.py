@@ -19,7 +19,6 @@ from .errors import FracstableError
 from .fracops import (caputo, delta_plus, reflected_generator_general,
                       rl_left_alpha, rl_left_alpha_minus1, rl_right)
 from .pathsim import PathConfig, Reflect, bias_calibration, simulate_reflected
-from .quadrature import DEFAULT_CFG
 from .specfun import GeneralIndex, mittag_leffler
 from .testfuncs import REGISTRY
 from .verify import (check_cm, check_factorization, check_identity_law,

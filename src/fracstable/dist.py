@@ -24,17 +24,15 @@ from .specfun import _alpha_of
 _BLOCK = 1 << 16          # sub-stream block length for parallel-safe sampling
 _TABLE_NODES = 1 << 10    # inverse-CDF table resolution for V_alpha
 _TABLE_CACHE_SIZE = 8     # V_alpha tables kept, one per alpha
+_FAR = 1e150              # t^alpha <= _FAR keeps pi t^{2 alpha} finite
 
 
 class Law(Enum):
     Valpha = "Valpha"
-    Yalpha = "Yalpha"
-    Zbeta = "Zbeta"
     PosStable = "PosStable"
     StableIncrement = "StableIncrement"
     XhatExact = "XhatExact"
     XPathApprox = "XPathApprox"
-    IminusSeries = "IminusSeries"
 
 
 @dataclass(frozen=True)
@@ -64,11 +62,26 @@ class SamplePopulation:
 
 def valpha_pdf(alpha, t):
     """Density of V_alpha: (-sin pi a) t^{a-2}(1+t) / (pi (t^{2a}-2t^a cos pi a+1))."""
+    return _valpha_array(alpha, t, 0)
+
+
+def yalpha_pdf(alpha, t):
+    """Density of Y_alpha; equals t * valpha_pdf(alpha, t) identically."""
+    return _valpha_array(alpha, t, 1)
+
+
+def _valpha_array(alpha, t, k):
+    """t^k v_alpha(t) for t > 0, k in {0, 1}: the density's formula where
+    t^{2a} is finite, its t^{-a} form (_valpha_far) beyond."""
     alpha = _alpha_of(alpha)
     arr = np.asarray(t, dtype=float)
     if np.any(arr <= 0.0):
         raise DomainError("valpha_pdf requires t > 0")
-    out = _valpha_density(alpha)(arr)
+    far = arr > _FAR ** (1.0 / alpha)
+    out = np.empty_like(arr)
+    near_t = arr[~far]
+    out[~far] = _valpha_density(alpha)(near_t) * near_t ** k
+    out[far] = _valpha_far(alpha, k)(arr[far])
     return float(out) if out.ndim == 0 else out
 
 
@@ -90,6 +103,20 @@ def _valpha_density(alpha):
     return pdf
 
 
+def _valpha_far(alpha, k):
+    """t -> t^k v_alpha(t) for t >= 1 (floats or arrays), divided through
+    by t^{2a} so that it stays finite where valpha_pdf's formula overflows;
+    t^{k-1-a} is kept whole, so no value in float range underflows."""
+    ms, c = -sinpi(alpha) / math.pi, cospi(alpha)
+    e = k - 1.0 - alpha
+
+    def far(t):
+        s = t ** -alpha
+        return ms * t ** e * (1.0 + 1.0 / t) / (1.0 - 2.0 * c * s + s * s)
+
+    return far
+
+
 def _valpha_smooth(alpha):
     """The integrand v_alpha(t) / t^{alpha-2}, bounded near t = 0."""
     k = -sinpi(alpha) / math.pi
@@ -100,13 +127,6 @@ def _valpha_smooth(alpha):
         return k * (1.0 + t) / (ta * ta - 2.0 * ta * ca + 1.0)
 
     return smooth
-
-
-def yalpha_pdf(alpha, t):
-    """Density of Y_alpha; equals t * valpha_pdf(alpha, t) identically."""
-    arr = np.asarray(t, dtype=float)
-    out = arr * valpha_pdf(alpha, t)
-    return float(out) if out.ndim == 0 else out
 
 
 def zbeta_pdf(alpha, t):
@@ -148,17 +168,12 @@ def mom_Y(alpha, s):
         / (alpha * sinpi(s / alpha) * sinpi((1.0 + s) / alpha))
 
 
-def mom_Xhat(alpha, s, extended=False):
-    """E[Xhat_1^s] = Gamma(s+1)/Gamma(s/alpha+1); strip (1-alpha, alpha).
-
-    The Gamma ratio extends to every s > -1; pass extended=True to evaluate
-    outside the contractual strip.
-    """
+def mom_Xhat(alpha, s):
+    """E[Xhat_1^s] = Gamma(s+1)/Gamma(s/alpha+1) for s in (1-alpha, alpha),
+    the strip on which the moment factorization holds."""
     alpha = _alpha_of(alpha)
-    if s <= -1.0:
-        raise DomainError("s must exceed -1")
-    if not extended and not (1.0 - alpha) < s < alpha:
-        raise DomainError("s outside (1-alpha, alpha); use extended=True")
+    if not (1.0 - alpha) < s < alpha:
+        raise DomainError("s outside (1-alpha, alpha)")
     return gamma(s + 1.0) * rgamma(s / alpha + 1.0)
 
 
@@ -524,11 +539,13 @@ def kernel_apply_d2(f, alpha, x, cfg=DEFAULT_CFG):
     """(V_alpha f)''(x) = E[V_alpha^2 f''(x V_alpha)] for f in the domain D.
 
     Defined for x > 0 only: at x = 0 it would be E[V_alpha^2] f''(0), which
-    diverges, because V_alpha has moments only of order s < alpha < 2.
+    diverges, because V_alpha has moments only of order s < alpha < 2.  As
+    x -> 0 it grows like x^{alpha-2}, finite while tail_cutoff / x is.
     """
     alpha = _alpha_of(alpha)
-    if x <= 0.0:
-        raise DomainError("kernel_apply_d2 requires x > 0")
+    if not (x > 0.0 and cfg.tail_cutoff / x < math.inf):
+        raise DomainError("kernel_apply_d2 requires x > 0, with tail_cutoff "
+                          "/ x in float range")
     p = 1.0 / (alpha - 1.0)
     smooth = _valpha_smooth(alpha)
     pdf = _valpha_density(alpha)
@@ -543,6 +560,11 @@ def kernel_apply_d2(f, alpha, x, cfg=DEFAULT_CFG):
     def above_log(m):
         u = math.exp(m)
         return pdf(u / x) * (u / x) ** 2 * f.eval_f2(u) * u / x
+
+    if cfg.tail_cutoff / x > _FAR ** (1.0 / alpha):
+        # pdf overflows in t^{2 alpha} there: take t^3 v_alpha(t) whole
+        far = _valpha_far(alpha, 3)
+        above_log = lambda m: far(math.exp(m) / x) * f.eval_f2(math.exp(m))
 
     above, _ = adaptive_quad(above_log, math.log(x),
                              math.log(cfg.tail_cutoff), cfg,

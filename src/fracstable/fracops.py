@@ -5,17 +5,17 @@ boundary corrections; the (x-u)^{1-alpha} endpoint singularity is removed
 analytically by the substitution u = x(1 - s^{1/(2-alpha)}).
 """
 
-import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
 from .errors import DomainError, EvaluationError
 from .gammafn import gamma
-from .quadrature import DEFAULT_CFG, QuadratureConfig, adaptive_quad
+from .quadrature import DEFAULT_CFG, adaptive_quad
 from .specfun import GeneralIndex, _alpha_of
 
 _DECAY_PROBES = (1e2, 1e3, 1e4)
 _SMOKE_GRID = (0.3, 0.7, 1.5, 3.0)
+_SINGULAR_SPLIT = 0.1   # share of [0, x] in _caputo_core's panel at u = 0
 
 
 @dataclass(frozen=True)
@@ -83,7 +83,7 @@ def _caputo_core(d2, alpha, x, cfg):
     p = 1.0 / (2.0 - alpha)
     pref = x ** (2.0 - alpha) / ((2.0 - alpha) * gamma(2.0 - alpha))
     # reserve a panel near s = 1 (u near 0) for kernel-composed integrands
-    s_split = (1.0 - cfg.singular_split) ** (2.0 - alpha)
+    s_split = (1.0 - _SINGULAR_SPLIT) ** (2.0 - alpha)
     val, _ = adaptive_quad(lambda s: d2(x * (1.0 - s ** p)), 0.0, 1.0,
                            cfg, points=[s_split])
     return pref * val

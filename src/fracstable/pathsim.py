@@ -18,6 +18,7 @@ from .errors import DomainError
 from .specfun import _alpha_of
 
 _PATH_BLOCK = 1 << 9   # paths per sub-stream block
+MOMENT_GRID = (0.25, 0.5, 0.75)   # fractional moments s the law checks use
 
 
 class Reflect(Enum):
@@ -76,8 +77,7 @@ def _ks_statistic(a, b):
     return float(np.max(np.abs(ca - cb)))
 
 
-def bias_calibration(alpha, n_steps_ladder, n_paths, seed,
-                     s_grid=(0.25, 0.5, 0.75)):
+def bias_calibration(alpha, n_steps_ladder, n_paths, seed):
     """Discretization bias of the reflected walks.
 
     Infimum side: per-rung KS distance against exact Xhat_1 draws (an exact
@@ -85,7 +85,8 @@ def bias_calibration(alpha, n_steps_ladder, n_paths, seed,
     sampler is available: a self-convergence ladder -- KS distances between
     consecutive rungs, extrapolated geometrically to bound the residual bias
     of the finest rung -- plus fractional-moment gaps against the closed-form
-    mom_X.  The sup-side numbers feed the identity-in-law allowances.
+    mom_X, at each s in MOMENT_GRID.  The sup-side numbers feed the
+    identity-in-law allowances.
     """
     alpha = _alpha_of(alpha)
     ladder = sorted(int(k) for k in n_steps_ladder)
@@ -98,7 +99,7 @@ def bias_calibration(alpha, n_steps_ladder, n_paths, seed,
         vals = simulate_reflected(cfg).values
         ks = _ks_statistic(vals, exact)
         gaps = {}
-        for s in s_grid:
+        for s in MOMENT_GRID:
             w = vals ** s
             gaps[s] = {"gap": float(abs(w.mean() - mom_Xhat(alpha, s))),
                        "se": float(w.std() / math.sqrt(len(w)))}
@@ -112,7 +113,7 @@ def bias_calibration(alpha, n_steps_ladder, n_paths, seed,
                          Reflect.AtSupremum)
         vals = simulate_reflected(cfg).values
         gaps = {}
-        for s in s_grid:
+        for s in MOMENT_GRID:
             w = vals ** s
             gaps[s] = {"gap": float(abs(w.mean() - mom_X(alpha, s))),
                        "se": float(w.std() / math.sqrt(len(w)))}
@@ -138,5 +139,5 @@ def bias_calibration(alpha, n_steps_ladder, n_paths, seed,
         "ks_allowance": float(ks_allowance),
         "moment_allowance": {s: top["moment_gaps"][s]["gap"]
                              + 3.0 * top["moment_gaps"][s]["se"]
-                             for s in s_grid},
+                             for s in MOMENT_GRID},
     }

@@ -15,15 +15,13 @@ class QuadratureConfig:
     rel_tol/abs_tol feed the adaptive integrator directly.  Composite
     operations (nested quadratures, operator pipelines) should loosen via
     :meth:`composite`.  tail_cutoff truncates improper integrals, with the
-    analytic remainder bounded separately by the caller.  singular_split is
-    the fractional panel width reserved for endpoint singularities.
+    analytic remainder bounded separately by the caller.
     """
 
     rel_tol: float = 1e-8
     abs_tol: float = 1e-12
     max_subdivisions: int = 1024
     tail_cutoff: float = 1e3
-    singular_split: float = 0.1
 
     def __post_init__(self):
         if self.rel_tol <= 0 or self.abs_tol <= 0:
@@ -32,8 +30,6 @@ class QuadratureConfig:
             raise ValueError("max_subdivisions must be >= 8")
         if self.tail_cutoff <= 0:
             raise ValueError("tail_cutoff must be positive")
-        if not 0.0 < self.singular_split < 1.0:
-            raise ValueError("singular_split must lie in (0,1)")
 
     def composite(self, factor=100.0):
         """Loosened copy for outer layers of nested quadrature."""

@@ -7,8 +7,6 @@ A = F - e^x/alpha, B = F' - e^x/alpha, C = F'' - e^x/alpha.
 """
 
 import math
-from dataclasses import dataclass
-from enum import Enum
 
 from .errors import DomainError
 from .fracops import SmoothTestFunction
@@ -17,23 +15,6 @@ from .quadrature import DEFAULT_CFG, adaptive_quad
 from .specfun import (F_family, F_remainders, REM_SWITCH, _REM_MP_FROM,
                       _alpha_of)
 from .dist import iminus_laplace_quad, iminus_moment
-
-
-class Side(Enum):
-    hat = "hat"      # infimum-reflected process Xhat
-    plain = "plain"  # supremum-reflected process X
-
-
-@dataclass(frozen=True)
-class ResolventDensityPoint:
-    x: float
-    y: float
-    value: float
-    side: Side
-
-    def __post_init__(self):
-        if self.value < 0.0:
-            raise DomainError("resolvent densities are nonnegative")
 
 
 def _rem(alpha, x, which):
@@ -196,18 +177,19 @@ def u1_resolvent_function(f, alpha, cfg=DEFAULT_CFG):
                               fprime0_is_zero=False, name="u1_resolvent")
 
 
-def rep_pointwise(alpha, y, cfg=DEFAULT_CFG, t_split=0.2):
+def rep_pointwise(alpha, y, cfg=DEFAULT_CFG):
     """Both sides of the recurrent-extension entrance formula at y > 0.
 
     LHS: alpha y^{alpha-2} E[e^{-y^alpha I_-}] / (Gamma(1-1/alpha) E[I_-^{1/alpha-1}])
     with the Laplace transform from quadrature of the series density plus the
-    Mellin small-t correction.  RHS: u1_density(0, y) = F''(y) - F'(y).
+    Mellin small-t correction, split at t = 0.2.  RHS: u1_density(0, y) =
+    F''(y) - F'(y).
     """
     alpha = _alpha_of(alpha)
     if y <= 0.0:
         raise DomainError("rep_pointwise requires y > 0")
     ia = 1.0 / alpha
-    lap = iminus_laplace_quad(alpha, y ** alpha, t_split, cfg)
+    lap = iminus_laplace_quad(alpha, y ** alpha, 0.2, cfg)
     lhs = alpha * y ** (alpha - 2.0) * lap \
         / (gamma(1.0 - ia) * iminus_moment(alpha, ia - 1.0))
     rhs = u1_density(alpha, 0.0, y)

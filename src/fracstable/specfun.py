@@ -24,6 +24,7 @@ REM_SWITCH = 30.0
 ASYM_TERMS = 6
 REM_ASYM_TERMS = 9
 MAX_TERMS = 600
+ML_REL_TOL = 1e-12   # series truncation: last term below this times the sum
 
 
 @dataclass(frozen=True)
@@ -75,7 +76,7 @@ def _alpha_of(a):
     return float(alpha)
 
 
-def _ml_series(alpha, x, deriv, rel_tol):
+def _ml_series(alpha, x, deriv):
     # E^(d)(x) = sum_{n>=d} n!/(n-d)! x^(n-d) / Gamma(alpha n + 1), terms >= 0
     total = 0.0
     n = deriv
@@ -91,7 +92,7 @@ def _ml_series(alpha, x, deriv, rel_tol):
         t = ff * x ** (n - deriv) * rgamma(alpha * n + 1.0)
         total += t
         terms += 1
-        if t < last and t <= rel_tol * total:
+        if t < last and t <= ML_REL_TOL * total:
             # decreasing phase and negligible: bound the geometric tail
             ratio = t / last if last > 0 else 0.0
             bound = t * ratio / (1.0 - ratio) if ratio < 1.0 else t
@@ -102,7 +103,7 @@ def _ml_series(alpha, x, deriv, rel_tol):
                           % MAX_TERMS, partial=total, bound=last)
 
 
-def mittag_leffler(alpha, x, deriv=0, rel_tol=1e-12):
+def mittag_leffler(alpha, x, deriv=0):
     """E_alpha^{(deriv)}(x) for alpha in (0,2], x >= 0, deriv in {0,1,2}."""
     alpha = float(getattr(alpha, "alpha", alpha))
     if not 0.0 < alpha <= 2.0:
@@ -114,7 +115,7 @@ def mittag_leffler(alpha, x, deriv=0, rel_tol=1e-12):
 
     z = x ** (1.0 / alpha) if x > 0.0 else 0.0
     if z <= F_SWITCH:
-        val, terms, bound = _ml_series(alpha, x, deriv, rel_tol)
+        val, terms, bound = _ml_series(alpha, x, deriv)
         return MLEvaluation(val, MLRegime.series, terms, bound)
 
     # exponential branch: E_alpha(x) ~ e^z/alpha - sum_k x^{-k}/Gamma(1-alpha k)
@@ -297,7 +298,7 @@ def psi_general(idx, lam):
                         + idx.cplus * gamma(1.0 - lam) * rgamma(1.0 - a - lam))
 
 
-def theta_root(idx, tol=1e-12):
+def theta_root(idx):
     """Smallest positive root of lambda -> psi_general(idx, -lambda) on (0, alpha)."""
     if not isinstance(idx, GeneralIndex):
         raise DomainError("theta_root requires a GeneralIndex")
@@ -316,7 +317,7 @@ def theta_root(idx, tol=1e-12):
         if (v > 0.0) != (prev_v > 0.0):
             lo, hi = prev_l, lam
             flo = prev_v
-            while hi - lo > tol:
+            while hi - lo > 1e-12:
                 mid = 0.5 * (lo + hi)
                 fm = g(mid)
                 if fm == 0.0:

@@ -3,7 +3,7 @@ passed flag is a pure function of its inputs and seed."""
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -12,7 +12,7 @@ from .dist import (mom_V, mom_X, mom_Xhat, valpha_sample, xhat_sample,
                    stable_increment_sample)
 from .errors import DomainError
 from .fracops import delta_plus, is_in_domain_D, rl_right
-from .pathsim import PathConfig, Reflect, bias_calibration, simulate_reflected
+from .pathsim import MOMENT_GRID, bias_calibration, simulate_reflected
 from .quadrature import DEFAULT_CFG
 from .resolvent import (u1_resolvent_function, uhat1_resolvent_function,
                         rep_pointwise)
@@ -20,7 +20,7 @@ from .specfun import derivative_stack, psi, psi_integral, _alpha_of
 from .dist import kernel_apply, kernel_apply_d2
 from .fracops import SmoothTestFunction
 
-_KS_CONST = {0.1: 1.22, 0.05: 1.36, 0.01: 1.63}
+_KS_C = 1.63   # two-sample KS critical constant at the 1% level
 
 
 @dataclass
@@ -103,36 +103,33 @@ def check_factorization(alpha, s_grid, tolerance=1e-12):
                    residuals, tolerance, t0)
 
 
-def check_identity_law(alpha, n_exact, path_cfg, calibration=None,
-                       level=0.01, s_grid=(0.25, 0.5, 0.75)):
+def check_identity_law(alpha, n_exact, path_cfg):
     """X_1 = V_a x Xhat_1 in law: path-discretized X vs exact product draws.
 
-    Residuals are normalized by their decision limits (KS threshold plus
-    calibrated allowance; 3 combined standard errors plus allowance), so the
-    tolerance is 1.
+    Residuals are normalized by their decision limits (1% KS threshold plus
+    calibrated allowance; 3 combined standard errors plus allowance, at each
+    s in MOMENT_GRID), so the tolerance is 1.  The allowances come from
+    bias_calibration on the ladder n_steps/4, n_steps/2, n_steps.
     """
     t0 = time.perf_counter()
     alpha = _alpha_of(alpha)
     if n_exact < 1000 or path_cfg.n_paths < 1000:
         raise DomainError("sample sizes must be at least 1e3")
     seed = path_cfg.seed
-    if calibration is None:
-        calibration = bias_calibration(
-            alpha, [path_cfg.n_steps >> 2, path_cfg.n_steps >> 1,
-                    path_cfg.n_steps], path_cfg.n_paths, seed + 17)
+    calibration = bias_calibration(
+        alpha, [path_cfg.n_steps >> 2, path_cfg.n_steps >> 1,
+                path_cfg.n_steps], path_cfg.n_paths, seed + 17)
     pop_a = simulate_reflected(path_cfg).values
     v = valpha_sample(alpha, n_exact, seed + 1).values
     xh = xhat_sample(alpha, n_exact, seed + 2).values
     pop_b = v * xh
 
     residuals = []
-    ks = ks_two_sample_arrays(pop_a, pop_b)
-    thresh = _KS_CONST.get(level, 1.63) \
-        * math.sqrt((len(pop_a) + len(pop_b)) / (len(pop_a) * len(pop_b)))
-    limit = thresh + calibration["ks_allowance"]
-    residuals.append(("ks", ks / limit))
-    for s in s_grid:
-        target = mom_X(alpha, float(s))
+    ks = ks_two_sample(pop_a, pop_b)
+    limit = ks.threshold + calibration["ks_allowance"]
+    residuals.append(("ks", ks.statistic / limit))
+    for s in MOMENT_GRID:
+        target = mom_X(alpha, s)
         wb = pop_b ** s
         gap_b = abs(wb.mean() - target)
         se_b = wb.std() / math.sqrt(len(wb))
@@ -140,13 +137,13 @@ def check_identity_law(alpha, n_exact, path_cfg, calibration=None,
         wa = pop_a ** s
         gap_a = abs(wa.mean() - target)
         se_a = wa.std() / math.sqrt(len(wa))
-        allow = calibration["moment_allowance"].get(s, 0.0)
+        allow = calibration["moment_allowance"][s]
         residuals.append((f"moment_path_s={s}",
                           gap_a / (3.0 * se_a + allow)))
     params = {"n_exact": int(n_exact), "n_paths": path_cfg.n_paths,
-              "n_steps": path_cfg.n_steps, "ks_statistic": ks,
-              "ks_threshold": thresh,
-              "ks_allowance": calibration["ks_allowance"], "level": level}
+              "n_steps": path_cfg.n_steps, "ks_statistic": ks.statistic,
+              "ks_threshold": ks.threshold,
+              "ks_allowance": calibration["ks_allowance"], "level": 0.01}
     return _finish("identity-law", alpha, params, residuals, 1.0, t0,
                    seed=seed)
 
@@ -285,9 +282,10 @@ def check_resolvent_generator(f, alpha, x_grid, cfg=DEFAULT_CFG,
                    tolerance, t0)
 
 
-def _one_sided_derivative(fun, alpha, h0=1e-3):
+def _one_sided_derivative(fun, alpha):
     """f'(0+) for f(x) = f(0) + f'(0) x + c x^alpha + O(x^2): two-stage
     Richardson eliminating the x^{alpha-1} and x terms of the quotient."""
+    h0 = 1e-3
     f0 = fun(0.0)
     d = [(fun(h0 / 2 ** i) - f0) / (h0 / 2 ** i) for i in range(3)]
     r = 2.0 ** (alpha - 1.0)
@@ -367,13 +365,12 @@ def ks_two_sample_arrays(a, b):
     return float(np.max(np.abs(ca - cb)))
 
 
-def ks_two_sample(a, b, level=0.01):
-    """KS decision for two SamplePopulation objects (or arrays)."""
+def ks_two_sample(a, b):
+    """KS decision at the 1% level for two populations (or arrays)."""
     av = getattr(a, "values", a)
     bv = getattr(b, "values", b)
     if len(av) == 0 or len(bv) == 0:
         raise DomainError("populations must be nonempty")
     stat = ks_two_sample_arrays(av, bv)
-    c = _KS_CONST.get(level, 1.63)
-    threshold = c * math.sqrt((len(av) + len(bv)) / (len(av) * len(bv)))
+    threshold = _KS_C * math.sqrt((len(av) + len(bv)) / (len(av) * len(bv)))
     return KSResult(stat, threshold, stat > threshold)

@@ -1,10 +1,13 @@
 import io
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import fracstable
 from fracstable.cli import DEFAULT_SEED, main
 
 
@@ -42,7 +45,7 @@ def test_fracop_command():
 
 def test_density_and_moments_commands():
     code, out = run_cli("density", "--law", "valpha", "--alpha", "1.5",
-                        "--x", "0.5,1,2")
+                        "--x", "0.5,1,2,1e120")
     assert code == 0
     _, rows = parse_csv(out)
     assert all(v > 0.0 for _, v in rows)
@@ -132,8 +135,12 @@ def test_usage_errors_exit_one():
 
 
 def test_installed_entry_point():
+    # the child imports the package this suite imported, installed or not
+    root = str(Path(fracstable.__file__).resolve().parents[1])
+    path = [root] + os.environ.get("PYTHONPATH", "").split(os.pathsep)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
     proc = subprocess.run(
         [sys.executable, "-m", "fracstable.cli", "--version"],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert proc.stdout.strip()

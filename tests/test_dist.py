@@ -1,5 +1,6 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -85,7 +86,6 @@ def test_moment_domain_guards():
         mom_X(1.5, 1.7)
     with pytest.raises(DomainError):
         mom_Xhat(1.2, -0.4)
-    assert math.isfinite(mom_Xhat(1.2, -0.4, extended=True))
     with pytest.raises(DomainError):
         valpha_pdf(1.5, 0.0)
 
@@ -111,6 +111,44 @@ def test_valpha_density_closure_matches_numpy_formula():
         pdf = _valpha_density(a)
         scalar = np.array([pdf(v) for v in t.tolist()])
         np.testing.assert_allclose(scalar, ref, rtol=rel, atol=0.0)
+
+
+EDGE_ALPHAS = (1.0 + 1e-6, 1.2, 1.5, 1.8, 2.0 - 1e-6)
+
+
+def test_valpha_and_yalpha_pdf_finite_at_every_scale():
+    # once t^{2a} overflowed, the formula gave nan, or 0 where the density
+    # is still representable; no float operation may overflow now
+    t = np.logspace(-300.0, 300.0, 1201)
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        for a in EDGE_ALPHAS:
+            for pdf in (valpha_pdf, yalpha_pdf):
+                out = pdf(a, t)
+                assert np.all(np.isfinite(out)) and np.all(out >= 0.0)
+                for x in (1e-300, 1e175, 1e300):
+                    v = pdf(a, x)
+                    assert math.isfinite(v) and v >= 0.0
+
+
+def _valpha_pdf_mp(alpha, t, k):
+    with mp.workdps(30):
+        a, tm = mp.mpf(alpha), mp.mpf(t)
+        v = -mp.sinpi(a) * tm ** (a - 2) * (1 + tm) \
+            / (mp.pi * (tm ** (2 * a) - 2 * tm ** a * mp.cospi(a) + 1))
+        return float(tm ** k * v)
+
+
+def test_valpha_and_yalpha_pdf_match_mpmath_far_out():
+    # relative agreement wherever the value is a normal float; below that,
+    # the subnormal range, to within 1e-306 absolute
+    t = np.logspace(80.0, 300.0, 111)
+    for a in EDGE_ALPHAS:
+        for k, pdf in ((0, valpha_pdf), (1, yalpha_pdf)):
+            ref = np.array([_valpha_pdf_mp(a, v, k) for v in t])
+            np.testing.assert_allclose(pdf(a, t), ref, rtol=1e-12,
+                                       atol=1e-306)
+    assert valpha_pdf(1.8, 1e90) == pytest.approx(
+        _valpha_pdf_mp(1.8, 1e90, 0), rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -291,6 +329,19 @@ def test_kernel_apply_d2_rejects_nonpositive_x():
     for x in (0.0, -1.0):
         with pytest.raises(DomainError, match="x > 0"):
             kernel_apply_d2(GAUSS, 1.5, x)
+    with pytest.raises(DomainError, match="tail_cutoff"):
+        kernel_apply_d2(GAUSS, 1.5, 1e-310)
+
+
+def test_kernel_apply_d2_tiny_x_follows_its_power_law():
+    # E[V^2 f''(x V)] ~ k x^{a-2} int u^{1-a} f''(u) du as x -> 0, with
+    # k = -sin(pi a)/pi from the density's t^{-a-1} tail; for gauss at
+    # a = 1.5 the integral is 2 Gamma(5/4) - Gamma(1/4)
+    lead = (2.0 * math.gamma(1.25) - math.gamma(0.25)) / math.pi
+    for x in (1e-100, 1e-170, 1e-200):
+        v = kernel_apply_d2(GAUSS, 1.5, x)
+        assert math.isfinite(v)
+        assert v * math.sqrt(x) == pytest.approx(lead, rel=1e-10)
 
 
 def test_kernel_apply_constant_function():

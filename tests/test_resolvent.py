@@ -3,10 +3,10 @@ import math
 import pytest
 
 from fracstable.errors import DomainError
-from fracstable.resolvent import (ResolventDensityPoint, Side, lambda_f,
-                                  rep_pointwise, u1_apply, u1_density,
-                                  u1_mass, uhat1_apply, uhat1_density,
-                                  uhat1_mass, uhat1_resolvent_function)
+from fracstable.resolvent import (lambda_f, rep_pointwise, u1_apply,
+                                  u1_density, u1_mass, uhat1_apply,
+                                  uhat1_density, uhat1_mass,
+                                  uhat1_resolvent_function)
 from fracstable.testfuncs import REGISTRY
 
 GAUSS = REGISTRY["gauss"]
@@ -45,8 +45,6 @@ def test_density_domain_guards():
         uhat1_density(1.5, -1.0, 1.0)
     with pytest.raises(DomainError):
         u1_density(1.5, 1.0, 0.0)
-    with pytest.raises(DomainError):
-        ResolventDensityPoint(1.0, 1.0, -0.5, Side.hat)
 
 
 def test_total_masses_are_one():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from fracstable.errors import DomainError
-from fracstable.pathsim import PathConfig, Reflect
+from fracstable.pathsim import PathConfig, Reflect, _ks_statistic
 from fracstable.testfuncs import REGISTRY
 from fracstable.verify import (check_cm, check_factorization,
                                check_identity_law, check_intertwining,
@@ -123,13 +123,26 @@ def test_ks_two_sample_behavior():
     rng = np.random.default_rng(0)
     a = rng.standard_normal(4000)
     b = rng.standard_normal(4000)
-    same = ks_two_sample(a, b, level=0.01)
+    same = ks_two_sample(a, b)
     assert not same.reject
     assert 0.0 <= same.statistic <= 1.0
-    shifted = ks_two_sample(a, b + 0.5, level=0.01)
+    shifted = ks_two_sample(a, b + 0.5)
     assert shifted.reject
     assert shifted.statistic > same.statistic
     with pytest.raises(DomainError):
         ks_two_sample(a, np.array([]))
     # exact degenerate case: identical samples have zero distance
     assert ks_two_sample_arrays(a, a) == 0.0
+
+
+def test_pathsim_and_verify_ks_statistics_agree_bitwise():
+    # two implementations of one statistic; they may be merged only while
+    # they agree exactly
+    rng = np.random.default_rng(3)
+    a = rng.standard_normal(1500)
+    b = rng.standard_normal(2300)
+    ties_a = rng.integers(0, 12, 900).astype(float)
+    ties_b = rng.integers(0, 12, 1400).astype(float)
+    for x, y in ((a, b), (b, a), (ties_a, ties_b), (ties_a, ties_a[:300]),
+                 (a, b + 0.3), (a, a + 1e-9)):
+        assert _ks_statistic(x, y) == ks_two_sample_arrays(x, y)
