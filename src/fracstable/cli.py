@@ -21,8 +21,8 @@ from .fracops import (caputo, delta_plus, reflected_generator_general,
 from .pathsim import PathConfig, Reflect, bias_calibration, simulate_reflected
 from .specfun import GeneralIndex, mittag_leffler
 from .testfuncs import REGISTRY
-from .verify import (check_cm, check_factorization, check_identity_law,
-                     check_intertwining, check_lamperti,
+from .verify import (CM_TARGETS, check_cm, check_factorization,
+                     check_identity_law, check_intertwining, check_lamperti,
                      check_laplace_normalization, check_rep,
                      check_resolvent_generator)
 
@@ -276,8 +276,7 @@ def build_parser():
     q.add_argument("--n", type=int, default=100000)
     q.add_argument("--paths", type=int, default=2000)
     q.add_argument("--steps", type=int, default=1024)
-    q.add_argument("--target", default="recip_ML",
-                   choices=("recip_ML", "F_minus_Fprime", "exp_ratio"))
+    q.add_argument("--target", default="recip_ML", choices=tuple(CM_TARGETS))
     q.add_argument("--nmax", type=int, default=8)
     q.add_argument("--seed", type=int)
     q.add_argument("--tol", type=float,

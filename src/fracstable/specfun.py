@@ -25,6 +25,7 @@ ASYM_TERMS = 6
 REM_ASYM_TERMS = 9
 MAX_TERMS = 600
 ML_REL_TOL = 1e-12   # series truncation: last term below this times the sum
+JET_MAX_TERMS = 2000  # term budget of the mpmath derivative series ml_jet
 
 
 @dataclass(frozen=True)
@@ -241,8 +242,41 @@ def F_family(alpha, x, deriv=0):
             + alpha * alpha * x ** (2.0 * alpha - 2.0) * e2)
 
 
+def ml_jet(alpha, x, n, p=1):
+    """[d^m/dx^m sum_k x^(p k) / Gamma(alpha k + 1) for m = 0..n], x >= 0,
+    term by term in mpmath at the caller's working precision.
+
+    p = 1 gives E_alpha and p = alpha gives F_alpha(x) = E_alpha(x^alpha).
+    Vanishing terms are skipped, so x = 0 works unless one left has p k < m.
+    """
+    import mpmath as mp
+
+    am, pm, xm = mp.mpf(alpha), mp.mpf(p), mp.mpf(x)
+    totals = [mp.mpf(0)] * (n + 1)
+    for k in range(JET_MAX_TERMS):
+        e = pm * k
+        r = mp.rgamma(am * k + 1)
+        ff = mp.mpf(1)       # falling factorial e (e-1) ... (e-m+1)
+        # past e = n the terms are log-concave in k, so a term below eps
+        # times its sum lies in the decreasing tail
+        settled = e > n
+        for m in range(n + 1):
+            if ff:           # 0 when e is an integer below m
+                t = ff * xm ** (e - m) * r
+                totals[m] += t
+                settled = settled and abs(t) <= mp.eps * abs(totals[m])
+            ff *= e - m
+        if settled:
+            return totals
+    raise EvaluationError("ml_jet term budget of %d exhausted"
+                          % JET_MAX_TERMS, partial=totals, bound=abs(t))
+
+
 def derivative_stack(alpha, x, n_max):
-    """Exact term-wise derivatives (E_alpha(x), E'_alpha(x), ..., E^(n_max))."""
+    """Exact term-wise derivatives (E_alpha(x), E'_alpha(x), ..., E^(n_max)),
+    summed at 40 digits and rounded to float."""
+    import mpmath as mp
+
     alpha = float(getattr(alpha, "alpha", alpha))
     if not 0.0 < alpha <= 2.0:
         raise DomainError("derivative_stack requires alpha in (0,2]")
@@ -250,25 +284,8 @@ def derivative_stack(alpha, x, n_max):
         raise DomainError("derivative_stack requires x >= 0")
     if not 0 <= n_max <= 12:
         raise DomainError("n_max must lie in [0,12]")
-    out = []
-    for m in range(n_max + 1):
-        total = 0.0
-        last = math.inf
-        ff = math.factorial(m)     # falling factorial n!/(n-m)! at n = m
-        n = m
-        while True:
-            t = ff * x ** (n - m) * rgamma(alpha * n + 1.0)
-            total += t
-            if t < last and t <= 1e-16 * total:
-                break
-            if n - m >= MAX_TERMS:
-                raise EvaluationError("derivative_stack term budget exhausted",
-                                      partial=total, bound=t)
-            last = t
-            n += 1
-            ff = ff * n / (n - m)
-        out.append(total)
-    return out
+    with mp.workdps(40):
+        return [float(v) for v in ml_jet(alpha, x, n_max)]
 
 
 def psi(alpha, lam):

@@ -16,7 +16,7 @@ from .pathsim import MOMENT_GRID, bias_calibration, simulate_reflected
 from .quadrature import DEFAULT_CFG
 from .resolvent import (u1_resolvent_function, uhat1_resolvent_function,
                         rep_pointwise)
-from .specfun import derivative_stack, psi, psi_integral, _alpha_of
+from .specfun import ml_jet, psi, psi_integral, _alpha_of
 from .dist import kernel_apply, kernel_apply_d2
 from .fracops import SmoothTestFunction
 
@@ -149,107 +149,89 @@ def check_identity_law(alpha, n_exact, path_cfg):
 
 
 # ---------------------------------------------------------------------------
-# complete monotonicity
+# complete monotonicity, by exact series arithmetic on Taylor jets
+
+def _divide(a, b):
+    """The first len(a) Taylor coefficients of the quotient a / b."""
+    q = []
+    for m, am in enumerate(a):
+        q.append((am - sum(b[j] * q[m - j] for j in range(1, m + 1))) / b[0])
+    return q
+
+
+def _ml_taylor(alpha, x, n):
+    return [d / math.factorial(m) for m, d in enumerate(ml_jet(alpha, x, n))]
+
+
+def _derivs(coeffs):
+    return [float(math.factorial(m) * c) for m, c in enumerate(coeffs)]
+
 
 def recip_ml_derivs(alpha, x, n_max):
-    """Derivatives of 1/E_alpha by the Leibniz reciprocal recursion."""
-    stack = derivative_stack(alpha, x, n_max)
-    g = [1.0 / stack[0]]
-    for n in range(1, n_max + 1):
-        acc = 0.0
-        for k in range(1, n + 1):
-            acc += math.comb(n, k) * stack[k] * g[n - k]
-        g.append(-acc / stack[0])
-    return g
+    """Derivatives of 1/E_alpha: the series reciprocal of E_alpha's jet."""
+    import mpmath as mp
+
+    with mp.workdps(40):
+        return _derivs(_divide([1] + [0] * n_max, _ml_taylor(alpha, x, n_max)))
 
 
 def fmf_derivs(alpha, x, n_max):
-    """Term-wise series derivatives of F_alpha - F'_alpha in extended
-    precision (the e^x-scale cancellation defeats float64 past x ~ 8)."""
+    """Derivatives of F_alpha - F'_alpha from F_alpha's term-wise derivatives
+    at 30 + x/2 digits, which absorb the e^x-scale cancellation."""
     import mpmath as mp
 
-    alpha = _alpha_of(alpha)
-    dps = int(30 + 0.5 * x)
-    out = []
-    with mp.workdps(dps):
-        am = mp.mpf(alpha)
-        xm = mp.mpf(x)
-        for n in range(n_max + 1):
-            total = mp.mpf(0)
-            k = 0
-            while True:
-                e1 = am * k - n
-                e2 = am * k - 1 - n
-                t = mp.mpf(0)
-                a1 = am * k + 1 - n
-                if not (a1 <= 0 and a1 == int(a1)):
-                    t += xm ** e1 / mp.gamma(a1)
-                a2 = am * k - n
-                if not (a2 <= 0 and a2 == int(a2)):
-                    t -= xm ** e2 / mp.gamma(a2)
-                total += t
-                if am * k > x + n and abs(t) < abs(total) * mp.mpf(10) ** (-dps):
-                    break
-                k += 1
-                if k > 2000:
-                    raise DomainError("series did not converge")
-            out.append(float(total))
-    return out
+    with mp.workdps(int(30 + 0.5 * x)):
+        d = ml_jet(alpha, x, n_max + 1, p=alpha)
+        return [float(d[n] - d[n + 1]) for n in range(n_max + 1)]
 
 
 def exp_ratio_derivs(alpha, x, n_max):
-    """High-precision finite-difference derivatives of exp(-x E'_a/E_a)."""
+    """Derivatives of h = exp(-x E'_a/E_a): q = E'/E by series division,
+    g = -(x + eps) q, and h = exp(g) through h' = g' h."""
     import mpmath as mp
 
-    alpha = _alpha_of(alpha)
     with mp.workdps(40):
-        am = mp.mpf(alpha)
-
-        def E(z, d=0):
-            total = mp.mpf(0)
-            n = d
-            while True:
-                c = mp.mpf(1)
-                for j in range(d):
-                    c *= n - j
-                t = c * z ** (n - d) / mp.gamma(am * n + 1)
-                total += t
-                if n > d + 3 and t < total * mp.mpf("1e-45"):
-                    break
-                n += 1
-            return total
-
-        h = lambda z: mp.e ** (-z * E(z, 1) / E(z, 0))
-        return [float(mp.diff(h, mp.mpf(x), n)) for n in range(n_max + 1)]
+        e = _ml_taylor(alpha, x, n_max + 1)
+        q = _divide([(m + 1) * e[m + 1] for m in range(n_max + 1)], e)
+        g = [-(x * q[m] + (q[m - 1] if m else 0)) for m in range(n_max + 1)]
+        h = [mp.exp(g[0])]
+        for m in range(1, n_max + 1):
+            h.append(sum(j * g[j] * h[m - j] for j in range(1, m + 1)) / m)
+        return _derivs(h)
 
 
-def check_cm(target, alpha, n_max, x_grid, slack=None):
+# target -> (derivatives, slack, largest certified n_max)
+CM_TARGETS = {
+    "recip_ML": (recip_ml_derivs, 1e-10, 10),
+    "F_minus_Fprime": (fmf_derivs, 1e-10, 10),
+    "exp_ratio": (exp_ratio_derivs, 1e-6, 6),
+}
+
+
+def check_cm(target, alpha, n_max, x_grid):
     """Sign alternation (-1)^n d^n/dx^n >= -slack for the three CM claims."""
     t0 = time.perf_counter()
-    if target == "recip_ML":
-        fn, default_slack, cap = recip_ml_derivs, 1e-10, 10
-    elif target == "F_minus_Fprime":
-        fn, default_slack, cap = fmf_derivs, 1e-10, 10
-    elif target == "exp_ratio":
-        fn, default_slack, cap = exp_ratio_derivs, 1e-6, 6
-    else:
+    if target not in CM_TARGETS:
         raise DomainError("unknown CM target %r" % (target,))
+    fn, slack, cap = CM_TARGETS[target]
     if n_max > cap:
         raise DomainError("n_max too large for target %s" % target)
-    if slack is None:
-        slack = default_slack
-    if target == "recip_ML":
-        a = float(getattr(alpha, "alpha", alpha))
-        if not 0.0 < a <= 2.0:
-            raise DomainError("alpha out of range")
-    else:
-        a = _alpha_of(alpha)
+    if n_max < 0:
+        raise DomainError("n_max must be >= 0")
+    a = float(getattr(alpha, "alpha", alpha))
+    if not (0.0 < a <= 2.0 if target == "recip_ML" else 1.0 < a < 2.0):
+        raise DomainError("alpha out of range for target %s" % target)
+    grid = [float(x) for x in x_grid]
+    if not all(0.0 <= x < math.inf for x in grid):
+        raise DomainError("CM certificates require finite x >= 0")
+    if target == "F_minus_Fprime" and 0.0 in grid:
+        # F' ~ x^(alpha-1), so its derivatives are singular at 0
+        raise DomainError("F_minus_Fprime requires x > 0")
     residuals = []
-    for x in x_grid:
-        derivs = fn(a, float(x), n_max)
-        for n, v in enumerate(derivs):
+    for x in grid:
+        for n, v in enumerate(fn(a, x, n_max)):
             violation = max(0.0, -((-1.0) ** n) * v)
-            residuals.append(((float(x), n), violation))
+            residuals.append(((x, n), violation))
     return _finish("cm-%s" % target, a, {"n_max": n_max, "slack": slack},
                    residuals, slack, t0)
 

@@ -119,7 +119,8 @@ def test_criterion_06_complete_monotonicity(capsys):
         for target, n_max, slack in (("recip_ML", 8, 1e-10),
                                      ("F_minus_Fprime", 8, 1e-10),
                                      ("exp_ratio", 6, 1e-6)):
-            rep = check_cm(target, a, n_max, x_grid, slack=slack)
+            rep = check_cm(target, a, n_max, x_grid)
+            assert rep.tolerance == slack
             all_ok = all_ok and rep.passed
             worst = max(worst, rep.max_abs_residual)
     # limit cases: alpha = 1 gives derivatives of e^{-x}; alpha = 2 gives

@@ -125,6 +125,18 @@ def test_verify_factorization_command():
     assert json.loads(out)["passed"]
 
 
+def test_verify_cm_command_far_out_and_bad_inputs(capsys):
+    code, out = run_cli("verify", "cm", "--alpha", "1.2", "--x", "200")
+    assert code == 0
+    assert json.loads(out)["max_abs_residual"] == 0.0
+    capsys.readouterr()
+    for argv in (("--x", "-1"), ("--nmax", "-1"),
+                 ("--target", "F_minus_Fprime", "--x", "0")):
+        code, _ = run_cli("verify", "cm", "--alpha", "1.5", *argv)
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_usage_errors_exit_one():
     assert run_cli("nonsense")[0] == 1
     assert run_cli("ml", "--alpha", "1.5")[0] == 1          # missing --x

@@ -165,6 +165,19 @@ def test_derivative_stack_against_oracle():
         assert stack[n] == pytest.approx(ref, rel=1e-10)
 
 
+def test_derivative_stack_far_out_and_at_zero():
+    # x ** (n - m) overflowed float64 here; the 40-digit sum does not
+    stack = derivative_stack(1.2, 200.0, 6)
+    assert all(math.isfinite(v) and v > 0.0 for v in stack)
+    for d in (0, 1, 2):
+        assert stack[d] == pytest.approx(mittag_leffler(1.2, 200.0, d).value,
+                                         rel=1e-12)
+    # E^(m)(0) = m!/Gamma(alpha m + 1): only the k = m term survives
+    for m, v in enumerate(derivative_stack(1.5, 0.0, 4)):
+        assert v == pytest.approx(math.factorial(m) / math.gamma(1.5 * m + 1),
+                                  rel=1e-15)
+
+
 def test_psi_gamma_ratio():
     assert psi(1.5, 2.3) == pytest.approx(4.0234218788940364, rel=1e-13)
     assert psi(1.5, 0.0) == 0.0

@@ -1,16 +1,18 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
-from fracstable.errors import DomainError
+from fracstable import specfun
+from fracstable.errors import DomainError, EvaluationError
 from fracstable.pathsim import PathConfig, Reflect, _ks_statistic
 from fracstable.testfuncs import REGISTRY
-from fracstable.verify import (check_cm, check_factorization,
+from fracstable.verify import (CM_TARGETS, check_cm, check_factorization,
                                check_identity_law, check_intertwining,
                                check_lamperti, check_laplace_normalization,
                                check_rep, check_resolvent_generator,
-                               exp_ratio_derivs, ks_two_sample,
+                               exp_ratio_derivs, fmf_derivs, ks_two_sample,
                                ks_two_sample_arrays, recip_ml_derivs)
 
 GAUSS = REGISTRY["gauss"]
@@ -91,6 +93,107 @@ def test_exp_ratio_matches_exponential_at_special_case():
     # exp(-x E'/E) has value e^{-x E'/E}; just check the 0th derivative
     vals = exp_ratio_derivs(1.5, 1.0, 0)
     assert 0.0 < vals[0] < 1.0
+
+
+@pytest.mark.parametrize("target", sorted(CM_TARGETS))
+def test_cm_rejects_bad_inputs_before_computing(target, monkeypatch):
+    def never(*args):
+        raise AssertionError("derivatives computed for a rejected input")
+
+    _, slack, cap = CM_TARGETS[target]
+    monkeypatch.setitem(CM_TARGETS, target, (never, slack, cap))
+    with pytest.raises(DomainError):
+        check_cm(target, 1.5, -1, (1.0,))
+    for bad in (-1.0, math.nan, math.inf):
+        with pytest.raises(DomainError):
+            check_cm(target, 1.5, 2, (1.0, bad))
+    if target == "F_minus_Fprime":
+        # F' ~ x^(alpha-1): the derivatives are singular at 0
+        with pytest.raises(DomainError):
+            check_cm(target, 1.5, 2, (1.0, 0.0))
+    else:
+        monkeypatch.undo()
+        assert check_cm(target, 1.5, 2, (0.0,)).passed
+
+
+def test_cm_far_out_does_not_overflow():
+    g = recip_ml_derivs(1.2, 200.0, 8)
+    assert all(math.isfinite(v) for v in g)
+    assert all((-1) ** n * v > 0.0 for n, v in enumerate(g))
+
+
+def test_term_budget_raises_evaluation_error(monkeypatch):
+    monkeypatch.setattr(specfun, "JET_MAX_TERMS", 5)
+    with pytest.raises(EvaluationError) as info:
+        fmf_derivs(1.5, 10.0, 2)
+    assert len(info.value.partial) == 4
+    assert all(mp.isfinite(v) for v in info.value.partial)
+    assert mp.isfinite(info.value.bound) and info.value.bound > 0
+
+
+# Reference routes the jet replaced: numerical differentiation of a separate
+# 40-digit E series, and a term loop for F - F' with explicit pole guards.
+
+def _exp_ratio_by_mp_diff(alpha, x, n_max):
+    with mp.workdps(40):
+        am = mp.mpf(alpha)
+
+        def E(z, d=0):
+            total = mp.mpf(0)
+            n = d
+            while True:
+                c = mp.mpf(1)
+                for j in range(d):
+                    c *= n - j
+                t = c * z ** (n - d) / mp.gamma(am * n + 1)
+                total += t
+                if n > d + 3 and t < total * mp.mpf("1e-45"):
+                    break
+                n += 1
+            return total
+
+        h = lambda z: mp.e ** (-z * E(z, 1) / E(z, 0))
+        return [float(mp.diff(h, mp.mpf(x), n)) for n in range(n_max + 1)]
+
+
+def _fmf_by_term_loop(alpha, x, n_max):
+    dps = int(30 + 0.5 * x)
+    out = []
+    with mp.workdps(dps):
+        am = mp.mpf(alpha)
+        xm = mp.mpf(x)
+        for n in range(n_max + 1):
+            total = mp.mpf(0)
+            k = 0
+            while True:
+                t = mp.mpf(0)
+                a1 = am * k + 1 - n
+                if not (a1 <= 0 and a1 == int(a1)):
+                    t += xm ** (am * k - n) / mp.gamma(a1)
+                a2 = am * k - n
+                if not (a2 <= 0 and a2 == int(a2)):
+                    t -= xm ** (am * k - 1 - n) / mp.gamma(a2)
+                total += t
+                if am * k > x + n and abs(t) < abs(total) * mp.mpf(10) ** -dps:
+                    break
+                k += 1
+            out.append(float(total))
+    return out
+
+
+def test_exp_ratio_derivs_match_numerical_differentiation():
+    # orders 0..3 keep mp.diff under a second
+    for a in (1.2, 1.5, 1.8):
+        for x in (0.1, 1.0, 10.0):
+            assert exp_ratio_derivs(a, x, 3) == pytest.approx(
+                _exp_ratio_by_mp_diff(a, x, 3), rel=1e-12)
+
+
+def test_fmf_derivs_match_term_loop():
+    for a in (1.2, 1.5, 1.8):
+        for x in (0.1, 1.0, 10.0):
+            assert fmf_derivs(a, x, 8) == pytest.approx(
+                _fmf_by_term_loop(a, x, 8), rel=1e-12)
 
 
 def test_resolvent_generator_check():
