@@ -15,12 +15,11 @@ from .fracops import (SmoothTestFunction, caputo, delta_plus, is_in_domain_D,
                       reflected_generator_general, rl_left_alpha,
                       rl_left_alpha_minus1, rl_right)
 from .testfuncs import REGISTRY as TEST_FUNCTIONS
-from .dist import (Law, LawTag, SamplePopulation, c_alpha, iminus_laplace,
-                   iminus_moment, iminus_pdf, iminus_tail_integral,
-                   kernel_apply, kernel_apply_d2, mom_V, mom_X, mom_Xhat,
-                   mom_Y, positive_stable_sample, stable_increment_sample,
-                   valpha_moment_quad, valpha_pdf, valpha_sample, xhat_sample,
-                   yalpha_pdf, zbeta_pdf)
+from .dist import (c_alpha, iminus_laplace, iminus_moment, iminus_pdf,
+                   iminus_tail_integral, kernel_apply, kernel_apply_d2, mom_V,
+                   mom_X, mom_Xhat, mom_Y, positive_stable_sample,
+                   stable_increment_sample, valpha_moment_quad, valpha_pdf,
+                   valpha_sample, xhat_sample, yalpha_pdf, zbeta_pdf)
 from .pathsim import PathConfig, Reflect, bias_calibration, simulate_reflected
 from .resolvent import (rep_pointwise, u1_apply, u1_density, u1_mass,
                         u1_resolvent_function, uhat1_apply, uhat1_density,
@@ -34,10 +33,10 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BACKEND", "DEFAULT_CFG", "DomainError", "EvaluationError", "F_family",
-    "F_remainders", "FracstableError", "GeneralIndex", "Law", "LawTag",
-    "MLEvaluation", "MLRegime", "PathConfig", "QuadratureConfig", "Reflect",
-    "RootNotFoundError", "SamplePopulation", "SamplerError",
-    "SmoothTestFunction", "StabilityIndex", "TEST_FUNCTIONS",
+    "F_remainders", "FracstableError", "GeneralIndex", "MLEvaluation",
+    "MLRegime", "PathConfig", "QuadratureConfig", "Reflect",
+    "RootNotFoundError", "SamplerError", "SmoothTestFunction",
+    "StabilityIndex", "TEST_FUNCTIONS",
     "VerificationReport", "adaptive_quad", "bias_calibration", "c_alpha",
     "caputo", "check_cm", "check_factorization", "check_identity_law",
     "check_intertwining", "check_lamperti", "check_laplace_normalization",

@@ -130,8 +130,8 @@ def _cmd_sample(args, out):
     samplers = {"valpha": valpha_sample, "pos-stable": positive_stable_sample,
                 "stable-increment": stable_increment_sample,
                 "xhat": xhat_sample}
-    pop = samplers[args.law](args.alpha, args.n, seed)
-    _emit_csv([(float(v),) for v in pop.values], "value", out, seed=seed)
+    vals = samplers[args.law](args.alpha, args.n, seed)
+    _emit_csv([(float(v),) for v in vals], "value", out, seed=seed)
     return 0
 
 
@@ -141,8 +141,8 @@ def _cmd_simulate(args, out):
         else Reflect.AtInfimum
     cfg = PathConfig(args.alpha, args.steps, args.paths, seed, reflect,
                      horizon=args.horizon)
-    pop = simulate_reflected(cfg)
-    _emit_csv([(float(v),) for v in pop.values], "value", out, seed=seed)
+    vals = simulate_reflected(cfg)
+    _emit_csv([(float(v),) for v in vals], "value", out, seed=seed)
     return 0
 
 
@@ -170,7 +170,8 @@ def _cmd_verify(args, out):
         rep = check_identity_law(a, args.n, cfg)
     elif args.check == "cm":
         grid = _floats(args.x) if args.x else [0.1, 0.5, 1.0, 2.0, 5.0, 10.0]
-        rep = check_cm(args.target, a, args.nmax, grid)
+        nmax = CM_TARGETS[args.target][2] if args.nmax is None else args.nmax
+        rep = check_cm(args.target, a, nmax, grid)
     elif args.check == "resolvent":
         grid = _floats(args.x) if args.x else list(np.linspace(0.2, 3.0, 10))
         rep = check_resolvent_generator(_function(args.function), a, grid)
@@ -277,7 +278,9 @@ def build_parser():
     q.add_argument("--paths", type=int, default=2000)
     q.add_argument("--steps", type=int, default=1024)
     q.add_argument("--target", default="recip_ML", choices=tuple(CM_TARGETS))
-    q.add_argument("--nmax", type=int, default=8)
+    q.add_argument("--nmax", type=int,
+                   help="highest derivative order (default: the target's "
+                        "certified cap)")
     q.add_argument("--seed", type=int)
     q.add_argument("--tol", type=float,
                    help="override the check tolerance (pass/fail recomputed)")

@@ -9,9 +9,6 @@ density, Gamma-formula moments, Mellin-residue Laplace transform).
 
 import functools
 import math
-from dataclasses import dataclass
-from enum import Enum
-from typing import Optional
 
 import numpy as np
 from scipy.interpolate import PchipInterpolator
@@ -25,36 +22,6 @@ _BLOCK = 1 << 16          # sub-stream block length for parallel-safe sampling
 _TABLE_NODES = 1 << 10    # inverse-CDF table resolution for V_alpha
 _TABLE_CACHE_SIZE = 8     # V_alpha tables kept, one per alpha
 _FAR = 1e150              # t^alpha <= _FAR keeps pi t^{2 alpha} finite
-
-
-class Law(Enum):
-    Valpha = "Valpha"
-    PosStable = "PosStable"
-    StableIncrement = "StableIncrement"
-    XhatExact = "XhatExact"
-    XPathApprox = "XPathApprox"
-
-
-@dataclass(frozen=True)
-class LawTag:
-    law: Law
-    alpha: float
-    steps: Optional[int] = None
-
-    def __post_init__(self):
-        if not 1.0 < self.alpha < 2.0:
-            raise DomainError("alpha must lie in (1,2)")
-        if self.steps is not None and self.steps < 1:
-            raise DomainError("steps must be >= 1")
-
-
-@dataclass
-class SamplePopulation:
-    values: np.ndarray
-    law: LawTag
-    seed: int
-    n: int
-    method: str  # "exact" or "path_discretized"
 
 
 # ---------------------------------------------------------------------------
@@ -334,7 +301,7 @@ def iminus_laplace(alpha, q):
     return ca * total
 
 
-def iminus_laplace_quad(alpha, q, t_split, cfg=DEFAULT_CFG):
+def iminus_laplace_quad(alpha, q, t_split):
     """E[exp(-q I_minus)] by quadrature of the series density on (t_split, inf)
     plus the Mellin small-t correction.
 
@@ -349,7 +316,7 @@ def iminus_laplace_quad(alpha, q, t_split, cfg=DEFAULT_CFG):
     if q <= 0.0 or t_split <= 0.0:
         raise DomainError("q and t_split must be positive")
     val, _ = adaptive_quad(lambda t: math.exp(-q * t) * iminus_pdf(alpha, t),
-                           t_split, cfg.tail_cutoff, cfg)
+                           t_split, DEFAULT_CFG.tail_cutoff)
     # term-wise int_{t_split}^inf e^{-qt} t^{-(n+1+1/a)} dt via the upper
     # incomplete Gamma function with negative parameter
     ia = 1.0 / alpha
@@ -375,6 +342,8 @@ def iminus_laplace_quad(alpha, q, t_split, cfg=DEFAULT_CFG):
 # samplers (deterministic per (seed, n), block sub-streams for parallel safety)
 
 def _block_rng(seed, block):
+    if int(seed) < 0:
+        raise DomainError("seed must be >= 0")
     return np.random.default_rng(np.random.SeedSequence([int(seed), block]))
 
 
@@ -409,9 +378,8 @@ def positive_stable_sample(alpha, n, seed):
     alpha = _alpha_of(alpha)
     if n < 1:
         raise DomainError("n must be >= 1")
-    vals = _blocked(n, seed, lambda rng, m: _positive_stable_block(alpha, rng, m))
-    return SamplePopulation(vals, LawTag(Law.PosStable, alpha), int(seed),
-                            int(n), "exact")
+    return _blocked(n, seed,
+                    lambda rng, m: _positive_stable_block(alpha, rng, m))
 
 
 def _stable_increment_block(alpha, rng, m):
@@ -434,18 +402,14 @@ def stable_increment_sample(alpha, n, seed):
     alpha = _alpha_of(alpha)
     if n < 1:
         raise DomainError("n must be >= 1")
-    vals = _blocked(n, seed, lambda rng, m: _stable_increment_block(alpha, rng, m))
-    return SamplePopulation(vals, LawTag(Law.StableIncrement, alpha),
-                            int(seed), int(n), "exact")
+    return _blocked(n, seed,
+                    lambda rng, m: _stable_increment_block(alpha, rng, m))
 
 
 def xhat_sample(alpha, n, seed):
     """Exact draws of Xhat_1 = T1^{-1/alpha} (terminal infimum-reflected law)."""
     alpha = _alpha_of(alpha)
-    pop = positive_stable_sample(alpha, n, seed)
-    vals = pop.values ** (-1.0 / alpha)
-    return SamplePopulation(vals, LawTag(Law.XhatExact, alpha), int(seed),
-                            int(n), "exact")
+    return positive_stable_sample(alpha, n, seed) ** (-1.0 / alpha)
 
 
 # --- V_alpha inverse-CDF sampler -------------------------------------------
@@ -505,10 +469,8 @@ def valpha_sample(alpha, n, seed):
     if n < 1:
         raise DomainError("n must be >= 1")
     table = _valpha_table(alpha)
-    vals = _blocked(n, seed,
+    return _blocked(n, seed,
                     lambda rng, m: _valpha_block(alpha, table, rng, m))
-    return SamplePopulation(vals, LawTag(Law.Valpha, alpha), int(seed),
-                            int(n), "exact")
 
 
 # ---------------------------------------------------------------------------
@@ -535,7 +497,7 @@ def kernel_apply(f, alpha, x, cfg=DEFAULT_CFG):
     return below + above
 
 
-def kernel_apply_d2(f, alpha, x, cfg=DEFAULT_CFG):
+def kernel_apply_d2(f, alpha, x):
     """(V_alpha f)''(x) = E[V_alpha^2 f''(x V_alpha)] for f in the domain D.
 
     Defined for x > 0 only: at x = 0 it would be E[V_alpha^2] f''(0), which
@@ -543,7 +505,8 @@ def kernel_apply_d2(f, alpha, x, cfg=DEFAULT_CFG):
     x -> 0 it grows like x^{alpha-2}, finite while tail_cutoff / x is.
     """
     alpha = _alpha_of(alpha)
-    if not (x > 0.0 and cfg.tail_cutoff / x < math.inf):
+    T = DEFAULT_CFG.tail_cutoff
+    if not (x > 0.0 and T / x < math.inf):
         raise DomainError("kernel_apply_d2 requires x > 0, with tail_cutoff "
                           "/ x in float range")
     p = 1.0 / (alpha - 1.0)
@@ -552,7 +515,7 @@ def kernel_apply_d2(f, alpha, x, cfg=DEFAULT_CFG):
 
     below, _ = adaptive_quad(
         lambda s: s ** (2.0 * p) * f.eval_f2(x * s ** p) * smooth(s ** p),
-        0.0, 1.0, cfg)
+        0.0, 1.0)
     below *= p
     # t > 1 panel in log of the physical argument u = x t, so both the
     # kernel transition (u ~ x) and the decay scale of f'' are resolved by
@@ -561,18 +524,17 @@ def kernel_apply_d2(f, alpha, x, cfg=DEFAULT_CFG):
         u = math.exp(m)
         return pdf(u / x) * (u / x) ** 2 * f.eval_f2(u) * u / x
 
-    if cfg.tail_cutoff / x > _FAR ** (1.0 / alpha):
+    if T / x > _FAR ** (1.0 / alpha):
         # pdf overflows in t^{2 alpha} there: take t^3 v_alpha(t) whole
         far = _valpha_far(alpha, 3)
         above_log = lambda m: far(math.exp(m) / x) * f.eval_f2(math.exp(m))
 
-    above, _ = adaptive_quad(above_log, math.log(x),
-                             math.log(cfg.tail_cutoff), cfg,
+    above, _ = adaptive_quad(above_log, math.log(x), math.log(T),
                              points=[0.0] if x < 1.0 else None)
     return below + above
 
 
-def valpha_moment_quad(alpha, s, cfg=DEFAULT_CFG):
+def valpha_moment_quad(alpha, s):
     """int t^s v_alpha(t) dt by the same singularity-adapted quadrature."""
     alpha = _alpha_of(alpha)
     if not (1.0 - alpha) < s < alpha:
@@ -582,9 +544,8 @@ def valpha_moment_quad(alpha, s, cfg=DEFAULT_CFG):
     pdf = _valpha_density(alpha)
 
     below, _ = adaptive_quad(
-        lambda u: u ** (p * s) * smooth(u ** p), 0.0, 1.0, cfg)
+        lambda u: u ** (p * s) * smooth(u ** p), 0.0, 1.0)
     below *= p
     above, _ = adaptive_quad(
-        lambda r: r ** (-s) * pdf(1.0 / r) / (r * r),
-        0.0, 1.0, cfg)
+        lambda r: r ** (-s) * pdf(1.0 / r) / (r * r), 0.0, 1.0)
     return below + above

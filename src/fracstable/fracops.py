@@ -106,19 +106,19 @@ def delta_plus(f, alpha, x, cfg=DEFAULT_CFG):
     return val
 
 
-def rl_left_alpha(f, alpha, x, cfg=DEFAULT_CFG):
+def rl_left_alpha(f, alpha, x):
     """Left Riemann-Liouville derivative of order alpha (adds the f(0) term)."""
     alpha = _alpha_of(alpha)
-    return delta_plus(f, alpha, x, cfg) \
+    return delta_plus(f, alpha, x) \
         + f.eval_f(0.0) * x ** (-alpha) / gamma(1.0 - alpha)
 
 
-def rl_left_alpha_minus1(g, alpha, x, cfg=DEFAULT_CFG):
+def rl_left_alpha_minus1(g, alpha, x):
     """Left RL derivative of order alpha-1 in (0,1), for absolutely continuous g."""
     alpha = _alpha_of(alpha)
     if x <= 0.0:
         raise DomainError("rl_left_alpha_minus1 requires x > 0")
-    val = _caputo_core(g.eval_f1, alpha, x, cfg)
+    val = _caputo_core(g.eval_f1, alpha, x, DEFAULT_CFG)
     return val + g.eval_f(0.0) * x ** (1.0 - alpha) / gamma(2.0 - alpha)
 
 
@@ -160,7 +160,7 @@ def rl_right(f, alpha, x, cfg=DEFAULT_CFG):
     return core / gamma(2.0 - alpha)
 
 
-def reflected_generator_general(f, idx, x, cfg=DEFAULT_CFG):
+def reflected_generator_general(f, idx, x):
     """Generator of the sup-reflected process for alpha in (0,2)\\{1}."""
     if not isinstance(idx, GeneralIndex):
         raise DomainError("reflected_generator_general requires a GeneralIndex")
@@ -169,19 +169,20 @@ def reflected_generator_general(f, idx, x, cfg=DEFAULT_CFG):
     a = idx.alpha
     ga = gamma(-a)
     if a > 1.0:
-        dplus = rl_left_alpha(f, a, x, cfg) if idx.cminus != 0.0 else 0.0
-        dminus = rl_right(f, a, x, cfg) if idx.cplus != 0.0 else 0.0
+        dplus = rl_left_alpha(f, a, x) if idx.cminus != 0.0 else 0.0
+        dminus = rl_right(f, a, x) if idx.cplus != 0.0 else 0.0
     else:
         # single-integration one-sided forms valid for alpha in (0,1)
         p = 1.0 / (1.0 - a)
         dplus = 0.0
         if idx.cminus != 0.0:
             inner, _ = adaptive_quad(
-                lambda s: f.eval_f1(x * (1.0 - s ** p)), 0.0, 1.0, cfg)
+                lambda s: f.eval_f1(x * (1.0 - s ** p)), 0.0, 1.0)
             inner *= x ** (1.0 - a) / (1.0 - a)
             dplus = -(inner + f.eval_f(0.0) * x ** (-a)) / (a * ga)
         dminus = 0.0
         if idx.cplus != 0.0:
-            dminus = _right_core(f.eval_f1, a, f.decay_gamma, x, cfg) / (a * ga)
+            dminus = _right_core(f.eval_f1, a, f.decay_gamma, x,
+                                 DEFAULT_CFG) / (a * ga)
     return ga * (idx.cminus * dplus + idx.cplus * dminus) \
         + idx.cminus * f.eval_f(0.0) / (a * x ** a)

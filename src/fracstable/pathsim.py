@@ -12,8 +12,8 @@ from enum import Enum
 import numpy as np
 
 from ._kernels import reflected_terminal
-from .dist import (Law, LawTag, SamplePopulation, _block_rng,
-                   _stable_increment_block, mom_X, mom_Xhat, xhat_sample)
+from .dist import (_block_rng, _stable_increment_block, mom_X, mom_Xhat,
+                   xhat_sample)
 from .errors import DomainError
 from .specfun import _alpha_of
 
@@ -41,8 +41,8 @@ class PathConfig:
             raise DomainError("n_steps must be a positive power of two")
         if self.n_paths < 1:
             raise DomainError("n_paths must be >= 1")
-        if self.horizon <= 0.0:
-            raise DomainError("horizon must be positive")
+        if not 0.0 < self.horizon < math.inf:
+            raise DomainError("horizon must be positive and finite")
 
 
 def simulate_reflected(cfg):
@@ -62,11 +62,7 @@ def simulate_reflected(cfg):
         parts.append(reflected_terminal(inc, at_sup))
         done += take
         block += 1
-    vals = np.concatenate(parts)
-    return SamplePopulation(vals, LawTag(Law.XPathApprox, alpha,
-                                         steps=cfg.n_steps),
-                            int(cfg.seed), int(cfg.n_paths),
-                            "path_discretized")
+    return np.concatenate(parts)
 
 
 def _ks_statistic(a, b):
@@ -92,11 +88,11 @@ def bias_calibration(alpha, n_steps_ladder, n_paths, seed):
     ladder = sorted(int(k) for k in n_steps_ladder)
     if len(ladder) < 3:
         raise DomainError("need a ladder of at least 3 step counts")
-    exact = xhat_sample(alpha, 4 * n_paths, seed + 1).values
+    exact = xhat_sample(alpha, 4 * n_paths, seed + 1)
     rungs = []
     for n_steps in ladder:
         cfg = PathConfig(alpha, n_steps, n_paths, seed, Reflect.AtInfimum)
-        vals = simulate_reflected(cfg).values
+        vals = simulate_reflected(cfg)
         ks = _ks_statistic(vals, exact)
         gaps = {}
         for s in MOMENT_GRID:
@@ -111,7 +107,7 @@ def bias_calibration(alpha, n_steps_ladder, n_paths, seed):
     for i, n_steps in enumerate(ladder):
         cfg = PathConfig(alpha, n_steps, n_paths, seed + 100 + i,
                          Reflect.AtSupremum)
-        vals = simulate_reflected(cfg).values
+        vals = simulate_reflected(cfg)
         gaps = {}
         for s in MOMENT_GRID:
             w = vals ** s

@@ -31,7 +31,7 @@ class QuadratureConfig:
         if self.tail_cutoff <= 0:
             raise ValueError("tail_cutoff must be positive")
 
-    def composite(self, factor=100.0):
+    def composite(self, factor):
         """Loosened copy for outer layers of nested quadrature."""
         return replace(self, rel_tol=self.rel_tol * factor,
                        abs_tol=self.abs_tol * factor)

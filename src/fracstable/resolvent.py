@@ -16,6 +16,9 @@ from .specfun import (F_family, F_remainders, REM_SWITCH, _REM_MP_FROM,
                       _alpha_of)
 from .dist import iminus_laplace_quad, iminus_moment
 
+_CUTOFF = DEFAULT_CFG.tail_cutoff   # upper limit of the improper y-integrals
+_TIGHT = DEFAULT_CFG.composite(0.1)   # convolutions, a notch tighter
+
 
 def _rem(alpha, x, which):
     """F_remainders extended to x = 0 by the series limits."""
@@ -53,26 +56,25 @@ def u1_density(alpha, x, y):
     return math.exp(y - x) / alpha + math.exp(-x) * c
 
 
-def lambda_f(f, cfg=DEFAULT_CFG):
+def lambda_f(f):
     """lambda_f = int_0^inf e^{-y} f(y) dy."""
     fv = f.eval_f if hasattr(f, "eval_f") else f
-    val, _ = adaptive_quad(lambda y: math.exp(-y) * fv(y), 0.0,
-                           cfg.tail_cutoff, cfg)
+    val, _ = adaptive_quad(lambda y: math.exp(-y) * fv(y), 0.0, _CUTOFF)
     return val
 
 
-def uhat1_apply(f, alpha, x, cfg=DEFAULT_CFG):
+def uhat1_apply(f, alpha, x):
     """(Uhat_1 f)(x) by quadrature against the density (kink marked at y=x)."""
     alpha = _alpha_of(alpha)
     fv = f.eval_f if hasattr(f, "eval_f") else f
     pts = sorted(p for p in (x, x - REM_SWITCH, x - _REM_MP_FROM)
-                 if 0.0 < p < cfg.tail_cutoff)
+                 if 0.0 < p < _CUTOFF)
     val, _ = adaptive_quad(lambda y: uhat1_density(alpha, x, y) * fv(y),
-                           0.0, cfg.tail_cutoff, cfg, points=pts or None)
+                           0.0, _CUTOFF, points=pts or None)
     return val
 
 
-def u1_apply(f, alpha, x, cfg=DEFAULT_CFG):
+def u1_apply(f, alpha, x):
     """(U_1 f)(x) by quadrature; the y^{alpha-2} origin singularity gets a
     dedicated substituted panel."""
     alpha = _alpha_of(alpha)
@@ -81,21 +83,21 @@ def u1_apply(f, alpha, x, cfg=DEFAULT_CFG):
     hpts = [x ** (alpha - 1.0)] if 0.0 < x < 1.0 else None
     head, _ = adaptive_quad(
         lambda s: u1_density(alpha, x, s ** p) * fv(s ** p)
-        * p * s ** (p - 1.0), 0.0, 1.0, cfg, points=hpts)
+        * p * s ** (p - 1.0), 0.0, 1.0, points=hpts)
     pts = sorted(q for q in (x, _REM_MP_FROM, REM_SWITCH,
                              x + _REM_MP_FROM, x + REM_SWITCH)
-                 if 1.0 < q < cfg.tail_cutoff)
+                 if 1.0 < q < _CUTOFF)
     tail, _ = adaptive_quad(lambda y: u1_density(alpha, x, y) * fv(y),
-                            1.0, cfg.tail_cutoff, cfg, points=pts or None)
+                            1.0, _CUTOFF, points=pts or None)
     return head + tail
 
 
-def uhat1_mass(alpha, x, cfg=DEFAULT_CFG):
+def uhat1_mass(alpha, x):
     """Total mass of uhat1(x, .); equals 1 for the conservative semigroup."""
-    return uhat1_apply(lambda y: 1.0, alpha, x, cfg)
+    return uhat1_apply(lambda y: 1.0, alpha, x)
 
 
-def u1_mass(alpha, x, cfg=DEFAULT_CFG):
+def u1_mass(alpha, x):
     """Total mass of u1(x, .).
 
     The density decays only algebraically, so the tail beyond T is added in
@@ -108,18 +110,18 @@ def u1_mass(alpha, x, cfg=DEFAULT_CFG):
     hpts = [x ** (alpha - 1.0)] if 0.0 < x < 1.0 else None
     head, _ = adaptive_quad(
         lambda s: u1_density(alpha, x, s ** p) * p * s ** (p - 1.0),
-        0.0, 1.0, cfg, points=hpts)
+        0.0, 1.0, points=hpts)
     pts = sorted(q for q in (x, _REM_MP_FROM, REM_SWITCH,
                              x + _REM_MP_FROM, x + REM_SWITCH)
                  if 1.0 < q < T)
-    mid, _ = adaptive_quad(lambda y: u1_density(alpha, x, y), 1.0, T, cfg,
+    mid, _ = adaptive_quad(lambda y: u1_density(alpha, x, y), 1.0, T,
                            points=pts or None)
     tail = -math.exp(-x) * F_remainders(alpha, T, "B") \
         + _rem(alpha, T - x, "A")
     return head + mid + tail
 
 
-def uhat1_resolvent_function(f, alpha, cfg=DEFAULT_CFG):
+def uhat1_resolvent_function(f, alpha):
     """Uhat_1 f as a SmoothTestFunction with analytic derivative structure.
 
     g   = lam_f F - F' * f            (* = convolution on [0, x])
@@ -128,14 +130,13 @@ def uhat1_resolvent_function(f, alpha, cfg=DEFAULT_CFG):
     so g'(0) = 0 exactly, as the boundary condition requires.
     """
     alpha = _alpha_of(alpha)
-    lf = lambda_f(f, cfg)
-    icfg = cfg.composite(0.1)  # convolution a notch tighter than the caller
+    lf = lambda_f(f)
 
     def conv(h, x):
         if x <= 0.0:
             return 0.0
         val, _ = adaptive_quad(lambda u: F_family(alpha, u, 1) * h(x - u),
-                               0.0, x, icfg)
+                               0.0, x, _TIGHT)
         return val
 
     g = lambda x: lf * F_family(alpha, x, 0) - conv(f.eval_f, x)
@@ -150,7 +151,7 @@ def uhat1_resolvent_function(f, alpha, cfg=DEFAULT_CFG):
                               fprime0_is_zero=True, name="uhat1_resolvent")
 
 
-def u1_resolvent_function(f, alpha, cfg=DEFAULT_CFG):
+def u1_resolvent_function(f, alpha):
     """U_1 f for superexponentially decaying f, in the form
     h(x) = e^{-x} M_f - int_0^inf F'(u) f(x+u) du with M_f = int F'' f."""
     alpha = _alpha_of(alpha)
@@ -158,16 +159,15 @@ def u1_resolvent_function(f, alpha, cfg=DEFAULT_CFG):
     # M_f with the y^{alpha-2} singular panel substituted away
     mh, _ = adaptive_quad(
         lambda s: F_family(alpha, s ** p, 2) * f.eval_f(s ** p)
-        * p * s ** (p - 1.0), 0.0, 1.0, cfg)
+        * p * s ** (p - 1.0), 0.0, 1.0)
     cut = 50.0  # F'' e^y growth crushed by the superexponential decay of f
     mt, _ = adaptive_quad(lambda y: F_family(alpha, y, 2) * f.eval_f(y),
-                          1.0, cut, cfg)
+                          1.0, cut)
     mf = mh + mt
-    icfg = cfg.composite(0.1)
 
     def cross(h, x):
         val, _ = adaptive_quad(lambda u: F_family(alpha, u, 1) * h(x + u),
-                               0.0, cut, icfg)
+                               0.0, cut, _TIGHT)
         return val
 
     h = lambda x: math.exp(-x) * mf - cross(f.eval_f, x)
@@ -177,7 +177,7 @@ def u1_resolvent_function(f, alpha, cfg=DEFAULT_CFG):
                               fprime0_is_zero=False, name="u1_resolvent")
 
 
-def rep_pointwise(alpha, y, cfg=DEFAULT_CFG):
+def rep_pointwise(alpha, y):
     """Both sides of the recurrent-extension entrance formula at y > 0.
 
     LHS: alpha y^{alpha-2} E[e^{-y^alpha I_-}] / (Gamma(1-1/alpha) E[I_-^{1/alpha-1}])
@@ -189,7 +189,7 @@ def rep_pointwise(alpha, y, cfg=DEFAULT_CFG):
     if y <= 0.0:
         raise DomainError("rep_pointwise requires y > 0")
     ia = 1.0 / alpha
-    lap = iminus_laplace_quad(alpha, y ** alpha, 0.2, cfg)
+    lap = iminus_laplace_quad(alpha, y ** alpha, 0.2)
     lhs = alpha * y ** (alpha - 2.0) * lap \
         / (gamma(1.0 - ia) * iminus_moment(alpha, ia - 1.0))
     rhs = u1_density(alpha, 0.0, y)

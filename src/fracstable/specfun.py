@@ -15,7 +15,7 @@ from enum import Enum
 
 from .errors import DomainError, EvaluationError, RootNotFoundError
 from .gammafn import gamma, rgamma
-from .quadrature import DEFAULT_CFG, adaptive_quad
+from .quadrature import adaptive_quad
 
 # Series/asymptotic switch for F_alpha (argument x scale) and the point where
 # remainder evaluation moves from series-minus-exp to the asymptotic tail.
@@ -349,7 +349,7 @@ def theta_root(idx):
                             "found on (0, alpha)")
 
 
-def psi_integral(alpha, lam, cfg=DEFAULT_CFG):
+def psi_integral(alpha, lam):
     """Integral representation of psi, for cross-checking the Gamma ratio.
 
     After u = e^y - 1 the representation reads
@@ -375,12 +375,12 @@ def psi_integral(alpha, lam, cfg=DEFAULT_CFG):
             return c2 + u * (c3 + u * c4)
         return (math.expm1(-lam * math.log1p(u)) + lam * u) / (u * u)
 
-    inner, _ = adaptive_quad(lambda w: h(w ** p), 0.0, 1.0, cfg)
+    inner, _ = adaptive_quad(lambda w: h(w ** p), 0.0, 1.0)
     inner *= p
 
     def tail(r):
         # u = 1/r on (1, inf); integrand ((1+u)^{-lam} - 1) u^{-1-a} du
         return math.expm1(-lam * math.log1p(1.0 / r)) * r ** (alpha - 1.0)
 
-    outer, _ = adaptive_quad(tail, 0.0, 1.0, cfg)
+    outer, _ = adaptive_quad(tail, 0.0, 1.0)
     return lam / ((alpha - 1.0) * ga) + (inner + outer) / ga

@@ -52,6 +52,8 @@ class VerificationReport:
 
 def _finish(name, alpha, params, residuals, tolerance, t0, seed=None):
     worst = max((abs(v) for _, v in residuals), default=0.0)
+    if any(math.isnan(v) for _, v in residuals):
+        worst = math.nan   # max() passes over a NaN after the first entry
     return VerificationReport(
         check_name=name, alpha=alpha, params=params,
         residuals=[(loc, float(v)) for loc, v in residuals],
@@ -62,21 +64,21 @@ def _finish(name, alpha, params, residuals, tolerance, t0, seed=None):
 
 # ---------------------------------------------------------------------------
 
-def check_intertwining(f, alpha, x_grid, cfg=DEFAULT_CFG, tolerance=1e-3,
-                       abs_floor=1e-6):
+def check_intertwining(f, alpha, x_grid):
     """Residuals of  Delta^a_+ V_a f  =  V_a D^a_- f  on the grid."""
     t0 = time.perf_counter()
+    tolerance, abs_floor = 1e-3, 1e-6
     alpha = _alpha_of(alpha)
     ok, diag = is_in_domain_D(f, alpha)
     if not ok:
         failed = [k for k, v in diag.items() if v is False]
         raise DomainError("test function is not in the operator domain: %s"
                           % ", ".join(failed))
-    outer = cfg.composite(10.0)
+    outer = DEFAULT_CFG.composite(10.0)
     vf = SmoothTestFunction(
-        eval_f=lambda x: kernel_apply(f, alpha, x, cfg),
+        eval_f=lambda x: kernel_apply(f, alpha, x),
         eval_f1=lambda x: 0.0,          # unused: (V_a f)'(0) = 0 for f in D
-        eval_f2=lambda x: kernel_apply_d2(f, alpha, x, cfg),
+        eval_f2=lambda x: kernel_apply_d2(f, alpha, x),
         decay_gamma=f.decay_gamma, fprime0_is_zero=True)
     rlf = lambda y: rl_right(f, alpha, y, outer)
     residuals = []
@@ -86,11 +88,11 @@ def check_intertwining(f, alpha, x_grid, cfg=DEFAULT_CFG, tolerance=1e-3,
         denom = max(abs(rhs), abs(lhs), abs_floor / tolerance)
         residuals.append((float(x), abs(lhs - rhs) / denom))
     params = {"function": getattr(f, "name", None), "abs_floor": abs_floor,
-              "rel_tol": cfg.rel_tol}
+              "rel_tol": DEFAULT_CFG.rel_tol}
     return _finish("intertwining", alpha, params, residuals, tolerance, t0)
 
 
-def check_factorization(alpha, s_grid, tolerance=1e-12):
+def check_factorization(alpha, s_grid):
     """The moment factorization as a pure Gamma/sine identity."""
     t0 = time.perf_counter()
     alpha = _alpha_of(alpha)
@@ -100,7 +102,7 @@ def check_factorization(alpha, s_grid, tolerance=1e-12):
         prod = mom_V(alpha, s) * mom_Xhat(alpha, s)
         residuals.append((s, abs(mom_X(alpha, s) - prod) / mom_X(alpha, s)))
     return _finish("factorization", alpha, {"s_grid": list(map(float, s_grid))},
-                   residuals, tolerance, t0)
+                   residuals, 1e-12, t0)
 
 
 def check_identity_law(alpha, n_exact, path_cfg):
@@ -119,10 +121,9 @@ def check_identity_law(alpha, n_exact, path_cfg):
     calibration = bias_calibration(
         alpha, [path_cfg.n_steps >> 2, path_cfg.n_steps >> 1,
                 path_cfg.n_steps], path_cfg.n_paths, seed + 17)
-    pop_a = simulate_reflected(path_cfg).values
-    v = valpha_sample(alpha, n_exact, seed + 1).values
-    xh = xhat_sample(alpha, n_exact, seed + 2).values
-    pop_b = v * xh
+    pop_a = simulate_reflected(path_cfg)
+    pop_b = valpha_sample(alpha, n_exact, seed + 1) \
+        * xhat_sample(alpha, n_exact, seed + 2)
 
     residuals = []
     ks = ks_two_sample(pop_a, pop_b)
@@ -230,29 +231,29 @@ def check_cm(target, alpha, n_max, x_grid):
     residuals = []
     for x in grid:
         for n, v in enumerate(fn(a, x, n_max)):
-            violation = max(0.0, -((-1.0) ** n) * v)
-            residuals.append(((x, n), violation))
+            w = -((-1.0) ** n) * v
+            residuals.append(((x, n), w if math.isnan(w) else max(0.0, w)))
     return _finish("cm-%s" % target, a, {"n_max": n_max, "slack": slack},
                    residuals, slack, t0)
 
 
 # ---------------------------------------------------------------------------
 
-def check_resolvent_generator(f, alpha, x_grid, cfg=DEFAULT_CFG,
-                              tolerance=1e-3, boundary_tolerance=1e-4):
+def check_resolvent_generator(f, alpha, x_grid):
     """Generator-resolvent identities for both reflected processes, plus the
     zero boundary derivative.  Boundary residuals are rescaled by
     tolerance/boundary_tolerance so one tolerance governs the report."""
     t0 = time.perf_counter()
+    tolerance, boundary_tolerance = 1e-3, 1e-4
     alpha = _alpha_of(alpha)
-    g = uhat1_resolvent_function(f, alpha, cfg)
-    h = u1_resolvent_function(f, alpha, cfg)
+    g = uhat1_resolvent_function(f, alpha)
+    h = u1_resolvent_function(f, alpha)
     residuals = []
     for x in x_grid:
         x = float(x)
-        r = delta_plus(g, alpha, x, cfg) - g.eval_f(x) + f.eval_f(x)
+        r = delta_plus(g, alpha, x) - g.eval_f(x) + f.eval_f(x)
         residuals.append((("uhat", x), abs(r)))
-        r = rl_right(h, alpha, x, cfg) - h.eval_f(x) + f.eval_f(x)
+        r = rl_right(h, alpha, x) - h.eval_f(x) + f.eval_f(x)
         residuals.append((("u1", x), abs(r)))
     scale = tolerance / boundary_tolerance
     for name, fun in (("uhat_boundary", g.eval_f), ("u1_boundary", h.eval_f)):
@@ -275,34 +276,34 @@ def _one_sided_derivative(fun, alpha):
     return 2.0 * e[1] - e[0]
 
 
-def check_lamperti(alpha, lambda_grid, cfg=DEFAULT_CFG, tolerance=1e-6):
+def check_lamperti(alpha, lambda_grid):
     """psi_integral vs the Gamma-ratio psi."""
     t0 = time.perf_counter()
     alpha = _alpha_of(alpha)
     residuals = []
     for lam in lambda_grid:
         lam = float(lam)
-        a = psi_integral(alpha, lam, cfg)
+        a = psi_integral(alpha, lam)
         b = psi(alpha, lam)
         residuals.append((lam, abs(a - b) / b if b != 0.0 else abs(a)))
     return _finish("lamperti", alpha, {"lambda_grid": list(map(float,
                                                                lambda_grid))},
-                   residuals, tolerance, t0)
+                   residuals, 1e-6, t0)
 
 
-def check_rep(alpha, y_grid, cfg=DEFAULT_CFG, tolerance=1e-4):
+def check_rep(alpha, y_grid):
     """Recurrent-extension entrance law vs u1(0, .)."""
     t0 = time.perf_counter()
     alpha = _alpha_of(alpha)
     residuals = []
     for y in y_grid:
         y = float(y)
-        lhs, rhs = rep_pointwise(alpha, y, cfg)
+        lhs, rhs = rep_pointwise(alpha, y)
         if lhs <= 0.0 or rhs <= 0.0:
             raise DomainError("entrance-law sides must be positive")
         residuals.append((y, abs(lhs - rhs) / rhs))
     return _finish("rep", alpha, {"y_grid": list(map(float, y_grid))},
-                   residuals, tolerance, t0)
+                   residuals, 1e-4, t0)
 
 
 def check_laplace_normalization(alpha, lambda_grid, n, seed):
@@ -312,7 +313,7 @@ def check_laplace_normalization(alpha, lambda_grid, n, seed):
     alpha = _alpha_of(alpha)
     if n < 10 ** 4:
         raise DomainError("n must be at least 1e4")
-    z = stable_increment_sample(alpha, n, seed).values
+    z = stable_increment_sample(alpha, n, seed)
     residuals = []
     for lam in lambda_grid:
         lam = float(lam)
@@ -348,11 +349,9 @@ def ks_two_sample_arrays(a, b):
 
 
 def ks_two_sample(a, b):
-    """KS decision at the 1% level for two populations (or arrays)."""
-    av = getattr(a, "values", a)
-    bv = getattr(b, "values", b)
-    if len(av) == 0 or len(bv) == 0:
+    """KS decision at the 1% level for two sample arrays."""
+    if len(a) == 0 or len(b) == 0:
         raise DomainError("populations must be nonempty")
-    stat = ks_two_sample_arrays(av, bv)
-    threshold = _KS_C * math.sqrt((len(av) + len(bv)) / (len(av) * len(bv)))
+    stat = ks_two_sample_arrays(a, b)
+    threshold = _KS_C * math.sqrt((len(a) + len(b)) / (len(a) * len(b)))
     return KSResult(stat, threshold, stat > threshold)

@@ -82,8 +82,9 @@ def test_criterion_03_intertwining(capsys):
     all_ok = True
     for name in ("gauss", "cauchy2", "x2exp"):
         for a in ALPHAS:
-            rep = check_intertwining(REGISTRY[name], a, grid,
-                                     tolerance=1e-3, abs_floor=1e-6)
+            rep = check_intertwining(REGISTRY[name], a, grid)
+            assert rep.tolerance == 1e-3
+            assert rep.params["abs_floor"] == 1e-6
             worst = max(worst, rep.max_abs_residual)
             all_ok = all_ok and rep.passed
     _report(capsys, 3, "intertwining relation", all_ok,
@@ -150,8 +151,9 @@ def test_criterion_07_resolvent_suite(capsys):
             mass_err = max(mass_err, abs(uhat1_mass(a, x) - 1.0),
                            abs(u1_mass(a, x) - 1.0))
     rep = check_resolvent_generator(REGISTRY["gauss"], 1.5,
-                                    np.linspace(0.2, 3.0, 10),
-                                    tolerance=1e-3, boundary_tolerance=1e-4)
+                                    np.linspace(0.2, 3.0, 10))
+    assert rep.tolerance == 1e-3
+    assert rep.params["boundary_tolerance"] == 1e-4
     passed = mass_err <= 1e-6 and rep.passed
     _report(capsys, 7, "resolvent suite", passed,
             "mass error %.3g, generator residual %.3g"
@@ -163,7 +165,8 @@ def test_criterion_08_recurrent_extension(capsys):
     assert iminus_moment(1.5, 0.0) == 1.0
     mass, _ = quad(lambda t: iminus_pdf(1.5, t), 0.12, np.inf, limit=400)
     norm_err = abs(mass - iminus_tail_integral(1.5, 0.12))
-    rep = check_rep(1.5, np.linspace(0.5, 2.0, 7), tolerance=1e-4)
+    rep = check_rep(1.5, np.linspace(0.5, 2.0, 7))
+    assert rep.tolerance == 1e-4
     passed = norm_err <= 1e-5 and rep.passed
     _report(capsys, 8, "recurrent-extension formula", passed,
             "normalization error %.3g, max rel residual %.3g"
@@ -174,8 +177,8 @@ def test_criterion_09_sampler_oracles(capsys):
     n = 1_000_000
     worst_z = 0.0
     for a in ALPHAS:
-        t1 = positive_stable_sample(a, n, 101).values
-        z1 = stable_increment_sample(a, n, 103).values
+        t1 = positive_stable_sample(a, n, 101)
+        z1 = stable_increment_sample(a, n, 103)
         for lam in (0.25, 0.5, 1.0):
             w = np.exp(-lam * t1)
             z = abs(w.mean() - math.exp(-lam ** (1.0 / a))) \
@@ -202,8 +205,8 @@ def test_criterion_10_determinism(capsys):
     cfg = PathConfig(1.5, 256, 2000, 9, Reflect.AtSupremum)
     i1 = strip(check_identity_law(1.5, 20_000, cfg))
     i2 = strip(check_identity_law(1.5, 20_000, cfg))
-    s1 = valpha_sample(1.5, 10_000, 3).values.tobytes()
-    s2 = valpha_sample(1.5, 10_000, 3).values.tobytes()
+    s1 = valpha_sample(1.5, 10_000, 3).tobytes()
+    s2 = valpha_sample(1.5, 10_000, 3).tobytes()
     passed = r1 == r2 and i1 == i2 and s1 == s2
     _report(capsys, 10, "determinism", passed,
             "seeded reruns byte-identical")

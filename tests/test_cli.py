@@ -137,6 +137,43 @@ def test_verify_cm_command_far_out_and_bad_inputs(capsys):
         assert capsys.readouterr().err.startswith("error: ")
 
 
+def test_verify_cm_default_nmax_is_the_target_cap():
+    for target, cap in (("recip_ML", 10), ("F_minus_Fprime", 10),
+                        ("exp_ratio", 6)):
+        code, out = run_cli("verify", "cm", "--alpha", "1.5",
+                            "--target", target)
+        assert code == 0, target
+        assert json.loads(out)["params"]["n_max"] == cap
+
+
+def test_verify_nonfinite_residual_exits_two():
+    code, out = run_cli("verify", "laplace", "--alpha", "1.5", "--n", "20000",
+                        "--lam", "0.5,nan")
+    assert code == 2
+    data = json.loads(out)
+    assert data["max_abs_residual"] != data["max_abs_residual"]   # NaN
+    assert not data["passed"]
+    code, out = run_cli("verify", "lamperti", "--alpha", "1.5",
+                        "--lam", "0.5,inf")
+    assert code == 2
+    assert not json.loads(out)["passed"]
+
+
+def test_negative_seed_exits_one(monkeypatch, capsys):
+    for argv in (("sample", "--law", "valpha", "--alpha", "1.5", "--n", "5",
+                  "--seed", "-1"),
+                 ("simulate", "--alpha", "1.5", "--reflect", "sup",
+                  "--steps", "4", "--paths", "5", "--seed", "-2"),
+                 ("calibrate-bias", "--alpha", "1.5", "--ladder", "4,8,16",
+                  "--paths", "100", "--seed", "-20")):
+        assert run_cli(*argv)[0] == 1
+        assert capsys.readouterr().err.startswith("error: ")
+    monkeypatch.setenv("FRACSTABLE_SEED", "-3")
+    assert run_cli("sample", "--law", "xhat", "--alpha", "1.5",
+                   "--n", "5")[0] == 1
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_usage_errors_exit_one():
     assert run_cli("nonsense")[0] == 1
     assert run_cli("ml", "--alpha", "1.5")[0] == 1          # missing --x

@@ -4,7 +4,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from fracstable.dist import (Law, _valpha_density, _valpha_table_at, c_alpha,
+from fracstable.dist import (_valpha_density, _valpha_table_at, c_alpha,
                              iminus_laplace, iminus_laplace_quad,
                              iminus_moment, iminus_pdf, iminus_tail_integral,
                              kernel_apply, kernel_apply_d2, mom_V, mom_X,
@@ -13,6 +13,7 @@ from fracstable.dist import (Law, _valpha_density, _valpha_table_at, c_alpha,
                              valpha_pdf, valpha_sample, xhat_sample,
                              yalpha_pdf, zbeta_pdf)
 from fracstable.errors import DomainError, EvaluationError
+from fracstable.pathsim import PathConfig, Reflect, simulate_reflected
 from fracstable.gammafn import cospi, sinpi
 from fracstable.testfuncs import REGISTRY
 
@@ -225,20 +226,28 @@ def test_samplers_deterministic_and_prefix_stable():
                  xhat_sample, valpha_sample):
         a = make(1.5, 2000, 7)
         b = make(1.5, 2000, 7)
-        np.testing.assert_array_equal(a.values, b.values)
+        np.testing.assert_array_equal(a, b)
         short = make(1.5, 500, 7)
-        np.testing.assert_array_equal(short.values, a.values[:500])
+        np.testing.assert_array_equal(short, a[:500])
         other = make(1.5, 2000, 8)
-        assert not np.array_equal(other.values, a.values)
+        assert not np.array_equal(other, a)
 
 
 def test_sample_population_metadata():
-    pop = valpha_sample(1.5, 100, 3)
-    assert pop.law.law is Law.Valpha
-    assert pop.method == "exact"
-    assert pop.n == 100 and pop.seed == 3
+    vals = valpha_sample(1.5, 100, 3)
+    assert isinstance(vals, np.ndarray)
+    assert vals.dtype == np.float64 and vals.shape == (100,)
     with pytest.raises(DomainError):
         valpha_sample(1.5, 0, 3)
+
+
+def test_negative_seed_raises_domain_error():
+    for make in (positive_stable_sample, stable_increment_sample,
+                 xhat_sample, valpha_sample):
+        with pytest.raises(DomainError):
+            make(1.5, 10, -1)
+    with pytest.raises(DomainError):
+        simulate_reflected(PathConfig(1.5, 4, 10, -2, Reflect.AtSupremum))
 
 
 def test_valpha_table_built_once_per_alpha_and_cache_bounded():
@@ -249,7 +258,7 @@ def test_valpha_table_built_once_per_alpha_and_cache_bounded():
     after = _valpha_table_at.cache_info()
     assert after.misses - before.misses == 1
     assert after.hits - before.hits == 1
-    np.testing.assert_array_equal(first.values, second.values)
+    np.testing.assert_array_equal(first, second)
     size = after.maxsize
     assert size is not None
     for i in range(size + 1):
@@ -261,7 +270,7 @@ def test_positive_stable_laplace_transform():
     # E[e^{-lam T1}] = exp(-lam^{1/alpha})
     n = 200_000
     for a in ALPHAS:
-        vals = positive_stable_sample(a, n, 11).values
+        vals = positive_stable_sample(a, n, 11)
         for lam in (0.5, 1.0, 2.0):
             w = np.exp(-lam * vals)
             se = w.std() / math.sqrt(n)
@@ -272,7 +281,7 @@ def test_stable_increment_exponential_moment():
     # E[e^{lam Z1}] = exp(lam^alpha)
     n = 200_000
     for a in ALPHAS:
-        vals = stable_increment_sample(a, n, 13).values
+        vals = stable_increment_sample(a, n, 13)
         for lam in (0.25, 0.5, 1.0):
             w = np.exp(lam * vals)
             se = w.std() / math.sqrt(n)
@@ -282,7 +291,7 @@ def test_stable_increment_exponential_moment():
 def test_xhat_sample_moments():
     n = 200_000
     for a in ALPHAS:
-        vals = xhat_sample(a, n, 17).values
+        vals = xhat_sample(a, n, 17)
         for s in (0.25, 0.5, 0.75):
             w = vals ** s
             se = w.std() / math.sqrt(n)
@@ -292,13 +301,13 @@ def test_xhat_sample_moments():
 def test_valpha_sample_moments_and_cdf():
     n = 200_000
     for a in ALPHAS:
-        vals = valpha_sample(a, n, 19).values
+        vals = valpha_sample(a, n, 19)
         for s in (0.25, 0.5):
             w = vals ** s
             se = w.std() / math.sqrt(n)
             assert abs(w.mean() - mom_V(a, s)) < 4.0 * se
     for a, ref in VCDF1.items():
-        vals = valpha_sample(a, 200_000, 23).values
+        vals = valpha_sample(a, 200_000, 23)
         frac = float(np.mean(vals <= 1.0))
         se = math.sqrt(ref * (1.0 - ref) / 200_000)
         assert abs(frac - ref) < 4.0 * se

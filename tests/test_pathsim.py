@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from fracstable.dist import Law, mom_Xhat
+from fracstable.dist import mom_Xhat
 from fracstable.errors import DomainError
 from fracstable.pathsim import (PathConfig, Reflect, bias_calibration,
                                 simulate_reflected)
@@ -14,8 +14,9 @@ def test_config_validation():
         PathConfig(1.5, 1000, 10, 0, Reflect.AtSupremum)   # not a power of 2
     with pytest.raises(DomainError):
         PathConfig(1.5, 64, 0, 0, Reflect.AtSupremum)
-    with pytest.raises(DomainError):
-        PathConfig(1.5, 64, 10, 0, Reflect.AtSupremum, horizon=0.0)
+    for horizon in (0.0, math.nan, math.inf):
+        with pytest.raises(DomainError):
+            PathConfig(1.5, 64, 10, 0, Reflect.AtSupremum, horizon=horizon)
     with pytest.raises(DomainError):
         PathConfig(2.3, 64, 10, 0, Reflect.AtSupremum)
 
@@ -24,12 +25,9 @@ def test_simulation_deterministic():
     cfg = PathConfig(1.5, 64, 1500, 5, Reflect.AtSupremum)
     a = simulate_reflected(cfg)
     b = simulate_reflected(cfg)
-    np.testing.assert_array_equal(a.values, b.values)
-    assert a.law.law is Law.XPathApprox
-    assert a.law.steps == 64
-    assert a.method == "path_discretized"
+    np.testing.assert_array_equal(a, b)
     c = simulate_reflected(PathConfig(1.5, 64, 1500, 6, Reflect.AtSupremum))
-    assert not np.array_equal(a.values, c.values)
+    assert not np.array_equal(a, c)
 
 
 def test_reflection_nonnegative_and_single_step_complementarity():
@@ -37,9 +35,9 @@ def test_reflection_nonnegative_and_single_step_complementarity():
     # inf-reflected value is z^+ for the same increment z, so exactly one of
     # the two is zero for every path
     sup = simulate_reflected(PathConfig(1.5, 1, 4000, 9,
-                                        Reflect.AtSupremum)).values
+                                        Reflect.AtSupremum))
     inf = simulate_reflected(PathConfig(1.5, 1, 4000, 9,
-                                        Reflect.AtInfimum)).values
+                                        Reflect.AtInfimum))
     assert np.all(sup >= 0.0)
     assert np.all(inf >= 0.0)
     assert np.all(sup * inf == 0.0)
@@ -50,17 +48,17 @@ def test_horizon_scaling():
     # the walk is exactly self-similar: doubling the horizon multiplies every
     # path functional by 2^{1/alpha}
     base = simulate_reflected(PathConfig(1.5, 128, 2000, 3,
-                                         Reflect.AtInfimum)).values
+                                         Reflect.AtInfimum))
     scaled = simulate_reflected(PathConfig(1.5, 128, 2000, 3,
                                            Reflect.AtInfimum,
-                                           horizon=2.0)).values
+                                           horizon=2.0))
     np.testing.assert_allclose(scaled, base * 2.0 ** (1.0 / 1.5), rtol=1e-10,
                                atol=1e-15)
 
 
 def test_infimum_walk_approaches_exact_terminal_moments():
     cfg = PathConfig(1.5, 4096, 4000, 21, Reflect.AtInfimum)
-    vals = simulate_reflected(cfg).values
+    vals = simulate_reflected(cfg)
     for s in (0.25, 0.5):
         w = vals ** s
         se = w.std() / math.sqrt(len(w))

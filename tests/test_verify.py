@@ -1,4 +1,5 @@
 import math
+import time
 
 import mpmath as mp
 import numpy as np
@@ -8,7 +9,7 @@ from fracstable import specfun
 from fracstable.errors import DomainError, EvaluationError
 from fracstable.pathsim import PathConfig, Reflect, _ks_statistic
 from fracstable.testfuncs import REGISTRY
-from fracstable.verify import (CM_TARGETS, check_cm, check_factorization,
+from fracstable.verify import (CM_TARGETS, _finish, check_cm, check_factorization,
                                check_identity_law, check_intertwining,
                                check_lamperti, check_laplace_normalization,
                                check_rep, check_resolvent_generator,
@@ -114,6 +115,22 @@ def test_cm_rejects_bad_inputs_before_computing(target, monkeypatch):
     else:
         monkeypatch.undo()
         assert check_cm(target, 1.5, 2, (0.0,)).passed
+
+
+def test_nan_residual_fails_the_report():
+    rep = _finish("probe", 1.5, {}, [(0, 0.0), (1, math.nan)], 1.0,
+                  time.perf_counter())
+    assert math.isnan(rep.max_abs_residual)
+    assert not rep.passed
+
+
+def test_cm_nan_derivative_fails(monkeypatch):
+    _, slack, cap = CM_TARGETS["recip_ML"]
+    monkeypatch.setitem(CM_TARGETS, "recip_ML",
+                        (lambda a, x, n: [1.0, math.nan], slack, cap))
+    rep = check_cm("recip_ML", 1.5, 1, (1.0,))
+    assert math.isnan(rep.max_abs_residual)
+    assert not rep.passed
 
 
 def test_cm_far_out_does_not_overflow():
