@@ -8,9 +8,8 @@ from .errors import (DomainError, EvaluationError, FracstableError,
                      RootNotFoundError, SamplerError)
 from .quadrature import DEFAULT_CFG, QuadratureConfig, adaptive_quad
 from .specfun import (F_family, F_remainders, GeneralIndex, MLEvaluation,
-                      MLRegime, StabilityIndex, derivative_stack,
-                      mittag_leffler, psi, psi_general, psi_integral,
-                      psi_minus, theta_root)
+                      MLRegime, derivative_stack, mittag_leffler, psi,
+                      psi_general, psi_integral, psi_minus, theta_root)
 from .fracops import (SmoothTestFunction, caputo, delta_plus, is_in_domain_D,
                       reflected_generator_general, rl_left_alpha,
                       rl_left_alpha_minus1, rl_right)
@@ -36,8 +35,8 @@ __all__ = [
     "F_remainders", "FracstableError", "GeneralIndex", "MLEvaluation",
     "MLRegime", "PathConfig", "QuadratureConfig", "Reflect",
     "RootNotFoundError", "SamplerError", "SmoothTestFunction",
-    "StabilityIndex", "TEST_FUNCTIONS",
-    "VerificationReport", "adaptive_quad", "bias_calibration", "c_alpha",
+    "TEST_FUNCTIONS", "VerificationReport", "adaptive_quad",
+    "bias_calibration", "c_alpha",
     "caputo", "check_cm", "check_factorization", "check_identity_law",
     "check_intertwining", "check_lamperti", "check_laplace_normalization",
     "check_rep", "check_resolvent_generator", "delta_plus",

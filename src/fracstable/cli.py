@@ -186,9 +186,6 @@ def _cmd_verify(args, out):
         rep = check_laplace_normalization(a, grid, args.n, seed)
     else:  # pragma: no cover - argparse restricts choices
         raise _UsageError("unknown check %r" % args.check)
-    if args.tol is not None:
-        rep.tolerance = float(args.tol)
-        rep.passed = rep.max_abs_residual <= rep.tolerance
     payload = json.dumps(rep.to_dict(), indent=2)
     if args.output:
         with open(args.output, "w") as fh:
@@ -282,8 +279,6 @@ def build_parser():
                    help="highest derivative order (default: the target's "
                         "certified cap)")
     q.add_argument("--seed", type=int)
-    q.add_argument("--tol", type=float,
-                   help="override the check tolerance (pass/fail recomputed)")
     q.add_argument("--output", help="also write the JSON report here")
     q.set_defaults(run=_cmd_verify)
 

@@ -14,7 +14,7 @@ import numpy as np
 from scipy.interpolate import PchipInterpolator
 
 from .errors import DomainError, EvaluationError, SamplerError
-from .gammafn import gamma, gammaln, rgamma, sinpi, cospi
+from .gammafn import gamma, rgamma, sinpi, cospi
 from .quadrature import DEFAULT_CFG, adaptive_quad
 from .specfun import _alpha_of
 
@@ -247,8 +247,8 @@ def iminus_pdf(alpha, t):
     def term(n):
         # log-space: the Gamma ratio and the power can each overflow float64
         # range separately at large n while their product is still moderate
-        return (-1.0) ** n * math.exp(gammaln(n + 1.0 + ia)
-                                      - gammaln(alpha * (n + 1.0))
+        return (-1.0) ** n * math.exp(math.lgamma(n + 1.0 + ia)
+                                      - math.lgamma(alpha * (n + 1.0))
                                       - (n + 1.0 + ia) * lt)
 
     return ca * _iminus_alternating(alpha, term)
@@ -266,8 +266,8 @@ def iminus_tail_integral(alpha, t0):
 
     def term(n):
         return ((-1.0) ** n / (n + ia)
-                * math.exp(gammaln(n + 1.0 + ia)
-                           - gammaln(alpha * (n + 1.0)) - (n + ia) * lt))
+                * math.exp(math.lgamma(n + 1.0 + ia)
+                           - math.lgamma(alpha * (n + 1.0)) - (n + ia) * lt))
 
     return ca * _iminus_alternating(alpha, term)
 

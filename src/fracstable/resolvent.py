@@ -14,7 +14,7 @@ from .gammafn import gamma
 from .quadrature import DEFAULT_CFG, adaptive_quad
 from .specfun import (F_family, F_remainders, REM_SWITCH, _REM_MP_FROM,
                       _alpha_of)
-from .dist import iminus_laplace_quad, iminus_moment
+from .dist import iminus_laplace, iminus_moment
 
 _CUTOFF = DEFAULT_CFG.tail_cutoff   # upper limit of the improper y-integrals
 _TIGHT = DEFAULT_CFG.composite(0.1)   # convolutions, a notch tighter
@@ -181,15 +181,15 @@ def rep_pointwise(alpha, y):
     """Both sides of the recurrent-extension entrance formula at y > 0.
 
     LHS: alpha y^{alpha-2} E[e^{-y^alpha I_-}] / (Gamma(1-1/alpha) E[I_-^{1/alpha-1}])
-    with the Laplace transform from quadrature of the series density plus the
-    Mellin small-t correction, split at t = 0.2.  RHS: u1_density(0, y) =
+    with the Laplace transform in closed form, as the residue series of its
+    Mellin inversion (iminus_laplace).  RHS: u1_density(0, y) =
     F''(y) - F'(y).
     """
     alpha = _alpha_of(alpha)
     if y <= 0.0:
         raise DomainError("rep_pointwise requires y > 0")
     ia = 1.0 / alpha
-    lap = iminus_laplace_quad(alpha, y ** alpha, 0.2)
+    lap = iminus_laplace(alpha, y ** alpha)
     lhs = alpha * y ** (alpha - 2.0) * lap \
         / (gamma(1.0 - ia) * iminus_moment(alpha, ia - 1.0))
     rhs = u1_density(alpha, 0.0, y)

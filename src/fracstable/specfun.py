@@ -1,8 +1,13 @@
 """Mittag-Leffler family E_alpha, F_alpha and the Gamma-ratio exponents.
 
-Branch layout for the exponential-scale family F_alpha(x) = E_alpha(x^alpha):
+E_alpha and F_alpha(x) = E_alpha(x^alpha) share one float series,
+sum_n x^(p n) / Gamma(alpha n + 1) differentiated term by term, with p = 1
+for E_alpha and p = alpha for F_alpha, so F, F' and F'' are each summed
+from F_alpha's own series.
 
-* plain series for moderate arguments,
+Branch layout for the exponential-scale family F_alpha:
+
+* its own series for moderate arguments,
 * e^x/alpha plus an algebraic correction series for large x (F_SWITCH),
 * the remainders A = F - e^x/alpha, B = F' - e^x/alpha, C = F'' - e^x/alpha
   are evaluated cancellation-free: series-minus-exponential below REM_SWITCH,
@@ -26,17 +31,6 @@ REM_ASYM_TERMS = 9
 MAX_TERMS = 600
 ML_REL_TOL = 1e-12   # series truncation: last term below this times the sum
 JET_MAX_TERMS = 2000  # term budget of the mpmath derivative series ml_jet
-
-
-@dataclass(frozen=True)
-class StabilityIndex:
-    """Stability parameter constrained to the core window (1,2)."""
-
-    alpha: float
-
-    def __post_init__(self):
-        if not 1.0 < self.alpha < 2.0:
-            raise DomainError("alpha must lie in the open interval (1,2)")
 
 
 @dataclass(frozen=True)
@@ -69,28 +63,34 @@ class MLEvaluation:
     truncation_bound: float
 
 
-def _alpha_of(a):
-    """Accept a StabilityIndex or a bare float in (1,2)."""
-    alpha = getattr(a, "alpha", a)
+def _alpha_of(alpha):
+    """Check that alpha lies in (1,2) and return it as a float."""
     if not 1.0 < alpha < 2.0:
         raise DomainError("alpha must lie in (1,2)")
     return float(alpha)
 
 
-def _ml_series(alpha, x, deriv):
-    # E^(d)(x) = sum_{n>=d} n!/(n-d)! x^(n-d) / Gamma(alpha n + 1), terms >= 0
+def _ml_series(alpha, x, deriv, p):
+    """d^deriv/dx^deriv sum_n x^(p n) / Gamma(alpha n + 1), term by term.
+
+    Term n is e (e-1) ... (e-deriv+1) x^(e-deriv) / Gamma(alpha n + 1) with
+    e = p n, so every term is >= 0; terms whose falling factorial vanishes
+    are skipped.  p = 1 gives E_alpha and p = alpha gives F_alpha.
+    """
     total = 0.0
-    n = deriv
     terms = 0
     last = math.inf
-    while n < MAX_TERMS:
+    for n in range(MAX_TERMS):
+        e = p * n
         if deriv == 0:
             ff = 1.0
         elif deriv == 1:
-            ff = n
+            ff = e
         else:
-            ff = n * (n - 1.0)
-        t = ff * x ** (n - deriv) * rgamma(alpha * n + 1.0)
+            ff = e * (e - 1.0)
+        if not ff:
+            continue
+        t = ff * x ** (e - deriv) * rgamma(alpha * n + 1.0)
         total += t
         terms += 1
         if t < last and t <= ML_REL_TOL * total:
@@ -99,14 +99,13 @@ def _ml_series(alpha, x, deriv):
             bound = t * ratio / (1.0 - ratio) if ratio < 1.0 else t
             return total, terms, bound
         last = t
-        n += 1
     raise EvaluationError("Mittag-Leffler series did not converge in %d terms"
                           % MAX_TERMS, partial=total, bound=last)
 
 
 def mittag_leffler(alpha, x, deriv=0):
     """E_alpha^{(deriv)}(x) for alpha in (0,2], x >= 0, deriv in {0,1,2}."""
-    alpha = float(getattr(alpha, "alpha", alpha))
+    alpha = float(alpha)
     if not 0.0 < alpha <= 2.0:
         raise DomainError("mittag_leffler requires alpha in (0,2]")
     if x < 0.0:
@@ -116,7 +115,7 @@ def mittag_leffler(alpha, x, deriv=0):
 
     z = x ** (1.0 / alpha) if x > 0.0 else 0.0
     if z <= F_SWITCH:
-        val, terms, bound = _ml_series(alpha, x, deriv)
+        val, terms, bound = _ml_series(alpha, x, deriv, 1)
         return MLEvaluation(val, MLRegime.series, terms, bound)
 
     # exponential branch: E_alpha(x) ~ e^z/alpha - sum_k x^{-k}/Gamma(1-alpha k)
@@ -231,15 +230,7 @@ def F_family(alpha, x, deriv=0):
     if x > F_SWITCH:
         return math.exp(x) / alpha + F_remainders(alpha, x,
                                                   "ABC"[deriv])
-    y = x ** alpha
-    if deriv == 0:
-        return mittag_leffler(alpha, y, 0).value
-    e1 = mittag_leffler(alpha, y, 1).value
-    if deriv == 1:
-        return alpha * x ** (alpha - 1.0) * e1
-    e2 = mittag_leffler(alpha, y, 2).value
-    return (alpha * (alpha - 1.0) * x ** (alpha - 2.0) * e1
-            + alpha * alpha * x ** (2.0 * alpha - 2.0) * e2)
+    return _ml_series(alpha, x, deriv, alpha)[0]
 
 
 def ml_jet(alpha, x, n, p=1):
@@ -277,7 +268,7 @@ def derivative_stack(alpha, x, n_max):
     summed at 40 digits and rounded to float."""
     import mpmath as mp
 
-    alpha = float(getattr(alpha, "alpha", alpha))
+    alpha = float(alpha)
     if not 0.0 < alpha <= 2.0:
         raise DomainError("derivative_stack requires alpha in (0,2]")
     if x < 0.0:

@@ -219,7 +219,7 @@ def check_cm(target, alpha, n_max, x_grid):
         raise DomainError("n_max too large for target %s" % target)
     if n_max < 0:
         raise DomainError("n_max must be >= 0")
-    a = float(getattr(alpha, "alpha", alpha))
+    a = float(alpha)
     if not (0.0 < a <= 2.0 if target == "recip_ML" else 1.0 < a < 2.0):
         raise DomainError("alpha out of range for target %s" % target)
     grid = [float(x) for x in x_grid]

@@ -111,11 +111,12 @@ def test_verify_command_pass_and_fail_exit_codes(tmp_path):
     data = json.loads(out)
     assert data["check"] == "lamperti" and data["passed"]
     assert json.loads(report_file.read_text())["passed"]
-    # an impossible tolerance turns the same run into a failure (exit 2)
-    code, out = run_cli("verify", "lamperti", "--alpha", "1.5",
-                        "--tol", "1e-30")
-    assert code == 2
-    assert not json.loads(out)["passed"]
+
+
+def test_verify_rep_passes_at_small_alpha():
+    code, out = run_cli("verify", "rep", "--alpha", "1.2")
+    assert code == 0
+    assert json.loads(out)["passed"]
 
 
 def test_verify_factorization_command():

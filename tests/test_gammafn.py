@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.special as sc
 
-from fracstable.gammafn import cospi, gamma, gammaln, rgamma, sinpi
+from fracstable.gammafn import cospi, gamma, rgamma, sinpi
 
 
 def test_gamma_matches_scipy_across_range():
@@ -16,14 +16,14 @@ def test_gamma_matches_scipy_across_range():
     ])
     for x in xs:
         ref = sc.gamma(x)
-        assert gamma(float(x)) == pytest.approx(ref, rel=5e-13)
+        assert gamma(float(x)) == pytest.approx(ref, rel=2e-14)
 
 
 def test_rgamma_matches_scipy():
     xs = np.linspace(-25.3, 40.7, 331)
     for x in xs:
         assert rgamma(float(x)) == pytest.approx(float(sc.rgamma(x)),
-                                                 rel=5e-13, abs=1e-290)
+                                                 rel=2e-14, abs=1e-290)
 
 
 def test_rgamma_exact_zero_at_poles():
@@ -55,9 +55,3 @@ def test_sinpi_cospi_near_integers():
     # relative accuracy, not collapse to signed zero
     for x in (-5.551115123125783e-17, 1.0 - 1e-16, -1.0 - 3e-17):
         assert sinpi(x) == pytest.approx(math.sin(math.pi * x), rel=1e-12)
-
-
-def test_gammaln_matches_scipy():
-    for x in np.linspace(0.1, 300.0, 57):
-        assert gammaln(float(x)) == pytest.approx(float(sc.gammaln(x)),
-                                                  rel=1e-12, abs=1e-12)

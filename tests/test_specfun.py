@@ -4,7 +4,7 @@ import pytest
 
 from fracstable.errors import DomainError, RootNotFoundError
 from fracstable.specfun import (F_family, F_remainders, GeneralIndex,
-                                MLRegime, StabilityIndex, derivative_stack,
+                                MLRegime, derivative_stack, ml_jet,
                                 mittag_leffler, psi, psi_general,
                                 psi_integral, psi_minus, theta_root)
 
@@ -145,6 +145,21 @@ def test_f_family_against_oracle():
         assert F_family(a, x, d) == pytest.approx(ref, rel=1e-11)
 
 
+def test_f_family_matches_ml_jet_across_switches():
+    # oracle: F_alpha's own series summed term-wise in mpmath; the grid
+    # crosses the switches at x = 9, 25 and 30 and nears both ends of (1,2)
+    import mpmath as mp
+
+    for a in (1.0 + 1e-6, 1.2, 1.5, 1.8, 2.0 - 1e-6):
+        for x in (1e-3, 0.1, 0.7, 2.0, 5.0, 8.9, 9.1, 15.0, 24.99, 25.01,
+                  29.9, 30.1):
+            with mp.workdps(40 + x):
+                jet = ml_jet(a, x, 2, p=a)
+            for d in (0, 1, 2):
+                assert F_family(a, x, d) == pytest.approx(float(jet[d]),
+                                                          rel=1e-11)
+
+
 def test_f_remainders_against_oracle():
     for (a, x), (ra, rb, rc) in REM_ORACLE.items():
         assert F_remainders(a, x, "A") == pytest.approx(ra, rel=2e-10)
@@ -207,10 +222,6 @@ def test_theta_root_symmetric_weights():
 
 def test_validation_errors():
     with pytest.raises(DomainError):
-        StabilityIndex(2.5)
-    with pytest.raises(DomainError):
-        StabilityIndex(1.0)
-    with pytest.raises(DomainError):
         GeneralIndex(1.0, 1.0, 1.0)
     with pytest.raises(DomainError):
         GeneralIndex(1.5, -1.0, 1.0)
@@ -222,11 +233,5 @@ def test_validation_errors():
         mittag_leffler(1.5, 1.0, 3)
     with pytest.raises(DomainError):
         F_family(2.5, 1.0)
-
-
-def test_stability_index_accepted_everywhere():
-    idx = StabilityIndex(1.5)
-    assert mittag_leffler(idx, 2.0).value == pytest.approx(
-        ML_ORACLE[(1.5, 2.0, 0)], rel=1e-12)
-    assert F_family(idx, 0.5) == pytest.approx(F_ORACLE[(1.5, 0.5, 0)],
-                                               rel=1e-12)
+    with pytest.raises(DomainError):
+        F_family(1.0, 1.0)

@@ -226,9 +226,10 @@ def test_lamperti_check():
 
 
 def test_rep_check():
-    rep = check_rep(1.5, (0.5, 1.0, 2.0))
-    assert rep.passed and rep.max_abs_residual <= 1e-4
-    _assert_schema(rep)
+    for a in (1.2, 1.3, 1.5, 1.8):
+        rep = check_rep(a, (0.5, 1.0, 2.0, 4.0, 9.5))
+        assert rep.passed and rep.max_abs_residual <= 1e-4, a
+        _assert_schema(rep)
 
 
 def test_laplace_normalization_check():
