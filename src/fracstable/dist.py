@@ -187,6 +187,10 @@ def iminus_moment(alpha, s):
 
 _MAX_IMINUS_TERMS = 400
 _CANCEL_BUDGET = 1e12
+# The residue terms of iminus_laplace carry ~1e-14 relative error from their
+# Gamma values, so a largest term beyond 1e10 times the sum leaves the sum
+# with ~1e-4 relative error (the rep tolerance).
+_LAPLACE_CANCEL_BUDGET = 1e10
 
 
 def _iminus_alternating(alpha, term_fn):
@@ -277,7 +281,10 @@ def iminus_laplace(alpha, q):
 
     Two superexponentially convergent families (integer poles and poles at
     -1/alpha - m); validated against quadrature of the series density and
-    the resolvent identity they feed.
+    the resolvent identity they feed.  The terms alternate with size about
+    q^m / Gamma(alpha m), so for large q (q = y^alpha with y beyond about
+    15) they cancel beyond float precision, and the sum raises
+    EvaluationError instead of returning the residue.
     """
     alpha = _alpha_of(alpha)
     if q < 0.0:
@@ -287,17 +294,24 @@ def iminus_laplace(alpha, q):
     ia = 1.0 / alpha
     ca = c_alpha(alpha)
     total = 0.0
+    peak = 0.0
     for m in range(_MAX_IMINUS_TERMS):
         t1 = ((-1.0) ** m * gamma(1.0 + m - ia) * gamma(ia - m)
               * rgamma(alpha * (1.0 + m) - 1.0) * q ** m)
         t2 = ((-1.0) ** m * gamma(-ia - m) * gamma(1.0 + ia + m)
               * rgamma(alpha * (m + 1.0)) * q ** (m + ia))
         total += t1 + t2
+        peak = max(peak, abs(t1), abs(t2))
         if max(abs(t1), abs(t2)) <= 1e-18 * max(abs(total), 1e-300) and m > 2:
             break
     else:
         raise EvaluationError("Laplace residue series did not converge",
                               partial=ca * total, bound=abs(t1) + abs(t2))
+    if peak > _LAPLACE_CANCEL_BUDGET * abs(total):
+        raise EvaluationError(
+            "Laplace residue series cancels beyond budget (largest term "
+            "%.3g vs sum %.3g)" % (ca * peak, ca * total),
+            partial=ca * total, bound=1e-14 * ca * peak)
     return ca * total
 
 

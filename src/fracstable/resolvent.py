@@ -3,7 +3,11 @@ test functions, and the recurrent-extension entrance formula.
 
 Density evaluation is cancellation-free at every scale: the exponential
 parts of F, F', F'' cancel analytically, leaving only the remainders
-A = F - e^x/alpha, B = F' - e^x/alpha, C = F'' - e^x/alpha.
+A = F - e^x/alpha, B = F' - e^x/alpha, C = F'' - e^x/alpha.  F_remainders
+takes them from F_alpha's series below x = 3 (_REM_MP_FROM), from a Laplace
+integral of a positive density on [3, 30) and from the asymptotic series
+from x = 30 (REM_SWITCH) up; the quadratures here mark both switches, where
+the remainders change branch, as breakpoints.
 """
 
 import math

@@ -119,6 +119,12 @@ def test_verify_rep_passes_at_small_alpha():
     assert json.loads(out)["passed"]
 
 
+def test_verify_rep_exits_one_where_the_laplace_series_cancels(capsys):
+    code, _ = run_cli("verify", "rep", "--alpha", "1.5", "--y", "20")
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_verify_factorization_command():
     code, out = run_cli("verify", "factorization", "--alpha", "1.5",
                         "--s", "0.25,0.5,1.0")

@@ -213,6 +213,16 @@ def test_iminus_laplace_routes_agree():
     assert iminus_laplace(1.5, 0.0) == 1.0
 
 
+def test_iminus_laplace_raises_where_its_residue_series_cancels():
+    # at y = 20 the alternating terms reach ~1e11 times the sum, and the
+    # float sum was off by 1e-3 to 6e-3
+    for a in (1.2, 1.5, 1.8):
+        with pytest.raises(EvaluationError) as err:
+            iminus_laplace(a, 20.0 ** a)
+        assert math.isfinite(err.value.partial)
+        assert math.isfinite(err.value.bound) and err.value.bound > 0.0
+
+
 def test_c_alpha_positive():
     for a in ALPHAS:
         assert c_alpha(a) > 0.0

@@ -2,7 +2,9 @@ import math
 
 import pytest
 
+from fracstable.dist import _valpha_density
 from fracstable.errors import DomainError
+from fracstable.quadrature import adaptive_quad
 from fracstable.resolvent import (lambda_f, rep_pointwise, u1_apply,
                                   u1_density, u1_mass, uhat1_apply,
                                   uhat1_density, uhat1_mass,
@@ -38,6 +40,21 @@ def test_densities_nonnegative_across_scales():
             for y in (0.01, 0.5, 2.0, 12.0, 40.0):
                 assert uhat1_density(a, x, y) >= 0.0
                 assert u1_density(a, x, y) >= 0.0
+
+
+def test_u1_density_matches_valpha_laplace_oracle():
+    # identity in law Laplace-transformed in time: with T ~ Exp(1),
+    # u1(0, y) = int_0^inf v_alpha(t) e^{-y/t} dt/t, taken in r = 1/t
+    # split at r = 1/y; it samples nothing and crosses x = 3, 9, 25 and 30
+    for a in (1.2, 1.5, 1.8):
+        pdf = _valpha_density(a)
+        for y in (0.1, 1.0, 2.9, 3.1, 5.0, 8.9, 9.1, 15.0, 24.9, 29.9, 30.1):
+            g = lambda r: pdf(1.0 / r) * math.exp(-y * r) / r
+            lo, _ = adaptive_quad(g, 0.0, 1.0 / y)
+            hi, _ = adaptive_quad(g, 1.0 / y, math.inf)
+            rel = 1e-9 if y < 30.0 else 1e-7   # asymptotic branch above 30
+            assert u1_density(a, 0.0, y) == pytest.approx(lo + hi, rel=rel), \
+                (a, y)
 
 
 def test_density_domain_guards():

@@ -4,9 +4,10 @@ import pytest
 
 from fracstable.errors import DomainError, RootNotFoundError
 from fracstable.specfun import (F_family, F_remainders, GeneralIndex,
-                                MLRegime, derivative_stack, ml_jet,
-                                mittag_leffler, psi, psi_general,
-                                psi_integral, psi_minus, theta_root)
+                                MLRegime, _rem_integral, _rem_series_mp,
+                                derivative_stack, ml_jet, mittag_leffler,
+                                psi, psi_general, psi_integral, psi_minus,
+                                theta_root)
 
 # high-precision series oracle values (30-digit arbitrary precision sums)
 ML_ORACLE = {
@@ -172,6 +173,44 @@ def test_f_remainders_asymptotic_branch():
         assert F_remainders(a, x, "A") == pytest.approx(ra, rel=1e-7)
         assert F_remainders(a, x, "B") == pytest.approx(rb, rel=1e-7)
         assert F_remainders(a, x, "C") == pytest.approx(rc, rel=1e-7)
+
+
+def _remainders_ml_jet(a, x):
+    """A, B, C from F_alpha's series summed in mpmath at 60 + x digits."""
+    import mpmath as mp
+
+    with mp.workdps(60 + x):
+        jet = ml_jet(a, x, 2, p=a)
+        ex = mp.e ** mp.mpf(x) / mp.mpf(a)
+        return [float(v - ex) for v in jet]
+
+
+def test_f_remainders_match_ml_jet_across_branches():
+    # x = 3 and 30 switch branches (series / Laplace integral / asymptotic),
+    # x = 9 was the old mpmath window's edge and x = 25 is F_SWITCH; at
+    # alpha = 2 - 1e-9 the peak of the integrand is ~3e-9 wide
+    near_one = 1.0 + 1e-6
+    grid = (0.1, 1.0, 2.9, 3.1, 5.0, 8.9, 9.1, 15.0, 24.99, 25.01, 29.9)
+    for a in (near_one, 1.05, 1.2, 1.5, 1.8, 1.95, 2.0 - 1e-6, 2.0 - 1e-9):
+        for x in grid:
+            if a == near_one and x < 3.0:
+                continue   # series-minus-exp cancels there (A ~ sin pi a)
+            for d, ref in enumerate(_remainders_ml_jet(a, x)):
+                assert F_remainders(a, x, "ABC"[d]) == pytest.approx(
+                    ref, rel=1e-8), (a, x, d)
+    for a in (1.2, 1.5, 1.8):
+        for x in (30.1, 35.0):
+            for d, ref in enumerate(_remainders_ml_jet(a, x)):
+                assert F_remainders(a, x, "ABC"[d]) == pytest.approx(
+                    ref, rel=1e-6), (a, x, d)
+
+
+def test_rem_series_mp_matches_rem_integral():
+    for a in (1.2, 1.5, 1.8):
+        for x in (9.1, 15.0, 22.0, 29.9):
+            for d in range(3):
+                assert _rem_series_mp(a, x, "ABC"[d]) == pytest.approx(
+                    _rem_integral(a, x, d), rel=1e-10)
 
 
 def test_derivative_stack_against_oracle():
