@@ -7,9 +7,8 @@ from ._kernels import BACKEND
 from .errors import (DomainError, EvaluationError, FracstableError,
                      RootNotFoundError, SamplerError)
 from .quadrature import DEFAULT_CFG, QuadratureConfig, adaptive_quad
-from .specfun import (F_family, F_remainders, GeneralIndex, MLEvaluation,
-                      MLRegime, derivative_stack, mittag_leffler, psi,
-                      psi_general, psi_integral, psi_minus, theta_root)
+from .specfun import (F_family, F_remainders, GeneralIndex, mittag_leffler,
+                      psi, psi_general, psi_integral, theta_root)
 from .fracops import (SmoothTestFunction, caputo, delta_plus, is_in_domain_D,
                       reflected_generator_general, rl_left_alpha,
                       rl_left_alpha_minus1, rl_right)
@@ -32,23 +31,21 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BACKEND", "DEFAULT_CFG", "DomainError", "EvaluationError", "F_family",
-    "F_remainders", "FracstableError", "GeneralIndex", "MLEvaluation",
-    "MLRegime", "PathConfig", "QuadratureConfig", "Reflect",
-    "RootNotFoundError", "SamplerError", "SmoothTestFunction",
-    "TEST_FUNCTIONS", "VerificationReport", "adaptive_quad",
-    "bias_calibration", "c_alpha",
-    "caputo", "check_cm", "check_factorization", "check_identity_law",
-    "check_intertwining", "check_lamperti", "check_laplace_normalization",
-    "check_rep", "check_resolvent_generator", "delta_plus",
-    "derivative_stack", "iminus_laplace", "iminus_moment", "iminus_pdf",
-    "iminus_tail_integral", "is_in_domain_D", "kernel_apply",
-    "kernel_apply_d2", "ks_two_sample", "mittag_leffler", "mom_V", "mom_X",
-    "mom_Xhat", "mom_Y", "positive_stable_sample", "psi", "psi_general",
-    "psi_integral", "psi_minus", "reflected_generator_general",
+    "F_remainders", "FracstableError", "GeneralIndex", "PathConfig",
+    "QuadratureConfig", "Reflect", "RootNotFoundError", "SamplerError",
+    "SmoothTestFunction", "TEST_FUNCTIONS", "VerificationReport",
+    "adaptive_quad", "bias_calibration", "c_alpha", "caputo", "check_cm",
+    "check_factorization", "check_identity_law", "check_intertwining",
+    "check_lamperti", "check_laplace_normalization", "check_rep",
+    "check_resolvent_generator", "delta_plus", "iminus_laplace",
+    "iminus_moment", "iminus_pdf", "iminus_tail_integral", "is_in_domain_D",
+    "kernel_apply", "kernel_apply_d2", "ks_two_sample", "mittag_leffler",
+    "mom_V", "mom_X", "mom_Xhat", "mom_Y", "positive_stable_sample", "psi",
+    "psi_general", "psi_integral", "reflected_generator_general",
     "rep_pointwise", "rl_left_alpha", "rl_left_alpha_minus1", "rl_right",
-    "simulate_reflected", "stable_increment_sample", "theta_root",
-    "u1_apply", "u1_density", "u1_mass", "u1_resolvent_function",
-    "uhat1_apply", "uhat1_density", "uhat1_mass",
-    "uhat1_resolvent_function", "valpha_moment_quad", "valpha_pdf",
-    "valpha_sample", "xhat_sample", "yalpha_pdf", "zbeta_pdf",
+    "simulate_reflected", "stable_increment_sample", "theta_root", "u1_apply",
+    "u1_density", "u1_mass", "u1_resolvent_function", "uhat1_apply",
+    "uhat1_density", "uhat1_mass", "uhat1_resolvent_function",
+    "valpha_moment_quad", "valpha_pdf", "valpha_sample", "xhat_sample",
+    "yalpha_pdf", "zbeta_pdf",
 ]

@@ -85,7 +85,7 @@ def _function(name):
 # ---------------------------------------------------------------------------
 
 def _cmd_ml(args, out):
-    rows = [(x, mittag_leffler(args.alpha, x, args.deriv).value)
+    rows = [(x, mittag_leffler(args.alpha, x, args.deriv))
             for x in _floats(args.x)]
     _emit_csv(rows, "x,value", out)
     return 0

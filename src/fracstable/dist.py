@@ -42,7 +42,7 @@ def _valpha_array(alpha, t, k):
     t^{2a} is finite, its t^{-a} form (_valpha_far) beyond."""
     alpha = _alpha_of(alpha)
     arr = np.asarray(t, dtype=float)
-    if np.any(arr <= 0.0):
+    if not np.all(arr > 0.0):
         raise DomainError("valpha_pdf requires t > 0")
     far = arr > _FAR ** (1.0 / alpha)
     out = np.empty_like(arr)
@@ -101,11 +101,22 @@ def zbeta_pdf(alpha, t):
     alpha = _alpha_of(alpha)
     beta = alpha - 1.0
     arr = np.asarray(t, dtype=float)
-    if np.any(arr <= 0.0):
+    if not np.all(arr > 0.0):
         raise DomainError("zbeta_pdf requires t > 0")
-    out = sinpi(beta) / (math.pi * beta
-                         * (arr * arr + 2.0 * arr * cospi(beta) + 1.0))
-    out = out * np.ones_like(arr)
+    # t <= _FAR keeps pi t^2 finite; beyond, 2 t c + 1 is lost in the
+    # rounding of t^2, and the density is sin(pi beta)/(pi beta) / t^2
+    far = arr > _FAR
+    near_t, s = arr[~far], 1.0 / arr[far]
+    c = cospi(beta)
+    d = near_t * near_t + 2.0 * near_t * c + 1.0
+    # near alpha = 2, c -> -1 and d cancels around t = 1 (to 0 once c rounds
+    # to -1); there take d = (t-1)^2 + 2t(1+c), 1+c = 2 sin^2(pi(2-alpha)/2)
+    bad = d < 1e-3 * (near_t * near_t + 1.0)
+    tb = near_t[bad]
+    d[bad] = (tb - 1.0) ** 2 + 4.0 * tb * sinpi(0.5 * (2.0 - alpha)) ** 2
+    out = np.empty_like(arr)
+    out[~far] = sinpi(beta) / (math.pi * beta * d)
+    out[far] = sinpi(beta) / (math.pi * beta) * s * s
     return float(out) if out.ndim == 0 else out
 
 
@@ -241,7 +252,7 @@ def iminus_pdf(alpha, t):
     trips the cancellation guard (there is no small-t fallback).
     """
     alpha = _alpha_of(alpha)
-    if t <= 0.0:
+    if not t > 0.0:
         raise DomainError("iminus_pdf requires t > 0")
     ia = 1.0 / alpha
     ca = c_alpha(alpha)
@@ -261,7 +272,7 @@ def iminus_pdf(alpha, t):
 def iminus_tail_integral(alpha, t0):
     """Exact term-wise integral int_{t0}^inf f_-(t) dt of the series."""
     alpha = _alpha_of(alpha)
-    if t0 <= 0.0:
+    if not t0 > 0.0:
         raise DomainError("iminus_tail_integral requires t0 > 0")
     ia = 1.0 / alpha
     ca = c_alpha(alpha)
@@ -287,7 +298,7 @@ def iminus_laplace(alpha, q):
     EvaluationError instead of returning the residue.
     """
     alpha = _alpha_of(alpha)
-    if q < 0.0:
+    if not q >= 0.0:
         raise DomainError("iminus_laplace requires q >= 0")
     if q == 0.0:
         return 1.0
@@ -313,43 +324,6 @@ def iminus_laplace(alpha, q):
             "%.3g vs sum %.3g)" % (ca * peak, ca * total),
             partial=ca * total, bound=1e-14 * ca * peak)
     return ca * total
-
-
-def iminus_laplace_quad(alpha, q, t_split):
-    """E[exp(-q I_minus)] by quadrature of the series density on (t_split, inf)
-    plus the Mellin small-t correction.
-
-    The correction is the residue value minus the term-wise incomplete-Gamma
-    integral of the series over (t_split, inf); the deviation of this route
-    from iminus_laplace is exactly the quadrature-vs-series discrepancy, which
-    makes it an independent consistency check.
-    """
-    import mpmath as mp
-
-    alpha = _alpha_of(alpha)
-    if q <= 0.0 or t_split <= 0.0:
-        raise DomainError("q and t_split must be positive")
-    val, _ = adaptive_quad(lambda t: math.exp(-q * t) * iminus_pdf(alpha, t),
-                           t_split, DEFAULT_CFG.tail_cutoff)
-    # term-wise int_{t_split}^inf e^{-qt} t^{-(n+1+1/a)} dt via the upper
-    # incomplete Gamma function with negative parameter
-    ia = 1.0 / alpha
-    ca = c_alpha(alpha)
-    with mp.workdps(40):
-        acc = mp.mpf(0)
-        qm = mp.mpf(repr(q))
-        for n in range(80):
-            a_par = -(n + ia)
-            coef = (-1) ** n * mp.gamma(n + 1 + ia) / mp.gamma(alpha * (n + 1))
-            inc = mp.gammainc(a_par, qm * t_split, mp.inf)
-            t = coef * qm ** (n + ia) * inc
-            acc += t
-            if abs(t) < mp.mpf("1e-25") * max(abs(acc), mp.mpf("1e-30")) \
-                    and n > 2:
-                break
-        termwise = float(ca * acc)
-    correction = iminus_laplace(alpha, q) - termwise
-    return val + correction
 
 
 # ---------------------------------------------------------------------------
@@ -493,7 +467,7 @@ def valpha_sample(alpha, n, seed):
 def kernel_apply(f, alpha, x, cfg=DEFAULT_CFG):
     """E[f(x V_alpha)] by singularity-adapted quadrature."""
     alpha = _alpha_of(alpha)
-    if x < 0.0:
+    if not x >= 0.0:
         raise DomainError("kernel_apply requires x >= 0")
     fv = f.eval_f if hasattr(f, "eval_f") else f
     if x == 0.0:

@@ -92,7 +92,7 @@ def _caputo_core(d2, alpha, x, cfg):
 def caputo(f, alpha, x, cfg=DEFAULT_CFG):
     """Caputo derivative of order alpha in (1,2) at x > 0."""
     alpha = _alpha_of(alpha)
-    if x <= 0.0:
+    if not x > 0.0:
         raise DomainError("caputo requires x > 0")
     return _caputo_core(f.eval_f2, alpha, x, cfg)
 
@@ -116,7 +116,7 @@ def rl_left_alpha(f, alpha, x):
 def rl_left_alpha_minus1(g, alpha, x):
     """Left RL derivative of order alpha-1 in (0,1), for absolutely continuous g."""
     alpha = _alpha_of(alpha)
-    if x <= 0.0:
+    if not x > 0.0:
         raise DomainError("rl_left_alpha_minus1 requires x > 0")
     val = _caputo_core(g.eval_f1, alpha, x, DEFAULT_CFG)
     return val + g.eval_f(0.0) * x ** (1.0 - alpha) / gamma(2.0 - alpha)
@@ -154,7 +154,7 @@ def _right_core(dfun, kappa, gam, x, cfg):
 def rl_right(f, alpha, x, cfg=DEFAULT_CFG):
     """Right RL derivative (1/G(2-a)) int_0^inf u^{1-a} f''(x+u) du, x >= 0."""
     alpha = _alpha_of(alpha)
-    if x < 0.0:
+    if not x >= 0.0:
         raise DomainError("rl_right requires x >= 0")
     core = _right_core(f.eval_f2, alpha - 1.0, f.decay_gamma, x, cfg)
     return core / gamma(2.0 - alpha)
@@ -164,7 +164,7 @@ def reflected_generator_general(f, idx, x):
     """Generator of the sup-reflected process for alpha in (0,2)\\{1}."""
     if not isinstance(idx, GeneralIndex):
         raise DomainError("reflected_generator_general requires a GeneralIndex")
-    if x <= 0.0:
+    if not x > 0.0:
         raise DomainError("x must be positive")
     a = idx.alpha
     ga = gamma(-a)

@@ -1,7 +1,7 @@
 """Gamma function from the standard library's ``math.gamma``.
 
-Every moment formula in this package reduces to Gamma ratios, and several
-exponents (psi, psi_minus) rely on the convention 1/Gamma(nonpositive
+Every moment formula in this package reduces to Gamma ratios, and the
+exponents psi and psi_general rely on the convention 1/Gamma(nonpositive
 integer) = 0 holding exactly.  ``gamma`` returns +inf and ``rgamma`` an
 exact 0.0 at the poles and above the overflow point 171.62, instead of
 propagating an inf through a division or raising.  Below 0.5 both go

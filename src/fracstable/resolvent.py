@@ -38,7 +38,7 @@ def _rem(alpha, x, which):
 def uhat1_density(alpha, x, y):
     """Resolvent density of Xhat: e^{-y} F(x) - F'(x-y) 1{y<=x}."""
     alpha = _alpha_of(alpha)
-    if x < 0.0 or y < 0.0:
+    if not (x >= 0.0 and y >= 0.0):
         raise DomainError("x and y must be nonnegative")
     a = _rem(alpha, x, "A")
     if y <= x:
@@ -50,9 +50,9 @@ def uhat1_density(alpha, x, y):
 def u1_density(alpha, x, y):
     """Resolvent density of X: e^{-x} F''(y) - F'(y-x) 1{y>=x}."""
     alpha = _alpha_of(alpha)
-    if x < 0.0:
+    if not x >= 0.0:
         raise DomainError("x must be nonnegative")
-    if y <= 0.0:
+    if not y > 0.0:
         raise DomainError("u1_density requires y > 0 (F'' singular at 0)")
     c = F_remainders(alpha, y, "C")
     if y >= x:
@@ -78,11 +78,10 @@ def uhat1_apply(f, alpha, x):
     return val
 
 
-def u1_apply(f, alpha, x):
-    """(U_1 f)(x) by quadrature; the y^{alpha-2} origin singularity gets a
-    dedicated substituted panel."""
-    alpha = _alpha_of(alpha)
-    fv = f.eval_f if hasattr(f, "eval_f") else f
+def _u1_integral(fv, alpha, x, T):
+    """int_0^T u1(x, y) fv(y) dy.  The y^{alpha-2} origin singularity gets a
+    substituted panel on [0, 1]; the kink at y = x and the remainder branch
+    switches, at y and at y - x, are breakpoints of the panel [1, T]."""
     p = 1.0 / (alpha - 1.0)
     hpts = [x ** (alpha - 1.0)] if 0.0 < x < 1.0 else None
     head, _ = adaptive_quad(
@@ -90,10 +89,17 @@ def u1_apply(f, alpha, x):
         * p * s ** (p - 1.0), 0.0, 1.0, points=hpts)
     pts = sorted(q for q in (x, _REM_MP_FROM, REM_SWITCH,
                              x + _REM_MP_FROM, x + REM_SWITCH)
-                 if 1.0 < q < _CUTOFF)
+                 if 1.0 < q < T)
     tail, _ = adaptive_quad(lambda y: u1_density(alpha, x, y) * fv(y),
-                            1.0, _CUTOFF, points=pts or None)
+                            1.0, T, points=pts or None)
     return head + tail
+
+
+def u1_apply(f, alpha, x):
+    """(U_1 f)(x) by quadrature against the density up to the tail cutoff."""
+    alpha = _alpha_of(alpha)
+    fv = f.eval_f if hasattr(f, "eval_f") else f
+    return _u1_integral(fv, alpha, x, _CUTOFF)
 
 
 def uhat1_mass(alpha, x):
@@ -102,27 +108,16 @@ def uhat1_mass(alpha, x):
 
 
 def u1_mass(alpha, x):
-    """Total mass of u1(x, .).
-
-    The density decays only algebraically, so the tail beyond T is added in
-    closed form: int_T^inf u1(x,y) dy = -e^{-x} B(T) + A(T-x), obtained by
-    integrating the remainder forms term by term (C = B', B = A').
+    """Total mass of u1(x, .): u1_apply's quadrature of 1 up to T, plus the
+    algebraically decaying tail beyond T in closed form,
+    int_T^inf u1(x,y) dy = -e^{-x} B(T) + A(T-x), integrated term by term
+    from the remainder forms (C = B', B = A').
     """
     alpha = _alpha_of(alpha)
     T = max(2.0 * REM_SWITCH, x + REM_SWITCH + 1.0)
-    p = 1.0 / (alpha - 1.0)
-    hpts = [x ** (alpha - 1.0)] if 0.0 < x < 1.0 else None
-    head, _ = adaptive_quad(
-        lambda s: u1_density(alpha, x, s ** p) * p * s ** (p - 1.0),
-        0.0, 1.0, points=hpts)
-    pts = sorted(q for q in (x, _REM_MP_FROM, REM_SWITCH,
-                             x + _REM_MP_FROM, x + REM_SWITCH)
-                 if 1.0 < q < T)
-    mid, _ = adaptive_quad(lambda y: u1_density(alpha, x, y), 1.0, T,
-                           points=pts or None)
     tail = -math.exp(-x) * F_remainders(alpha, T, "B") \
         + _rem(alpha, T - x, "A")
-    return head + mid + tail
+    return _u1_integral(lambda y: 1.0, alpha, x, T) + tail
 
 
 def uhat1_resolvent_function(f, alpha):
@@ -190,7 +185,7 @@ def rep_pointwise(alpha, y):
     F''(y) - F'(y).
     """
     alpha = _alpha_of(alpha)
-    if y <= 0.0:
+    if not y > 0.0:
         raise DomainError("rep_pointwise requires y > 0")
     ia = 1.0 / alpha
     lap = iminus_laplace(alpha, y ** alpha)

@@ -23,7 +23,6 @@ Branch layout for the exponential-scale family F_alpha:
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 
 from .errors import DomainError, EvaluationError, RootNotFoundError
 from .gammafn import cospi, gamma, rgamma, sinpi
@@ -51,23 +50,10 @@ class GeneralIndex:
     def __post_init__(self):
         if not (0.0 < self.alpha < 2.0) or self.alpha == 1.0:
             raise DomainError("alpha must lie in (0,2) and differ from 1")
-        if self.cplus < 0.0 or self.cminus < 0.0:
+        if not (self.cplus >= 0.0 and self.cminus >= 0.0):
             raise DomainError("jump weights must be nonnegative")
         if self.cplus + self.cminus <= 0.0:
             raise DomainError("at least one jump weight must be positive")
-
-
-class MLRegime(Enum):
-    series = "series"
-    asymptotic = "asymptotic"
-
-
-@dataclass(frozen=True)
-class MLEvaluation:
-    value: float
-    regime: MLRegime
-    terms_used: int
-    truncation_bound: float
 
 
 def _alpha_of(alpha):
@@ -82,10 +68,11 @@ def _ml_series(alpha, x, deriv, p):
 
     Term n is e (e-1) ... (e-deriv+1) x^(e-deriv) / Gamma(alpha n + 1) with
     e = p n, so every term is >= 0; terms whose falling factorial vanishes
-    are skipped.  p = 1 gives E_alpha and p = alpha gives F_alpha.
+    are skipped.  p = 1 gives E_alpha and p = alpha gives F_alpha.  Returns
+    the sum at the first term that is both smaller than the one before it
+    and below ML_REL_TOL times the sum.
     """
     total = 0.0
-    terms = 0
     last = math.inf
     for n in range(MAX_TERMS):
         e = p * n
@@ -99,12 +86,8 @@ def _ml_series(alpha, x, deriv, p):
             continue
         t = ff * x ** (e - deriv) * rgamma(alpha * n + 1.0)
         total += t
-        terms += 1
         if t < last and t <= ML_REL_TOL * total:
-            # decreasing phase and negligible: bound the geometric tail
-            ratio = t / last if last > 0 else 0.0
-            bound = t * ratio / (1.0 - ratio) if ratio < 1.0 else t
-            return total, terms, bound
+            return total
         last = t
     raise EvaluationError("Mittag-Leffler series did not converge in %d terms"
                           % MAX_TERMS, partial=total, bound=last)
@@ -115,15 +98,14 @@ def mittag_leffler(alpha, x, deriv=0):
     alpha = float(alpha)
     if not 0.0 < alpha <= 2.0:
         raise DomainError("mittag_leffler requires alpha in (0,2]")
-    if x < 0.0:
+    if not x >= 0.0:
         raise DomainError("mittag_leffler requires x >= 0")
     if deriv not in (0, 1, 2):
         raise DomainError("deriv must be 0, 1 or 2")
 
     z = x ** (1.0 / alpha) if x > 0.0 else 0.0
     if z <= F_SWITCH:
-        val, terms, bound = _ml_series(alpha, x, deriv, 1)
-        return MLEvaluation(val, MLRegime.series, terms, bound)
+        return _ml_series(alpha, x, deriv, 1)
 
     # exponential branch: E_alpha(x) ~ e^z/alpha - sum_k x^{-k}/Gamma(1-alpha k)
     ez = math.exp(z)
@@ -131,14 +113,10 @@ def mittag_leffler(alpha, x, deriv=0):
         val = ez / alpha
         for k in range(1, ASYM_TERMS + 1):
             val -= x ** (-float(k)) * rgamma(1.0 - alpha * k)
-        bound = abs(x ** (-float(ASYM_TERMS + 1))
-                    * rgamma(1.0 - alpha * (ASYM_TERMS + 1)))
     elif deriv == 1:
         val = ez * z / (alpha * alpha * x)
         for k in range(1, ASYM_TERMS + 1):
             val += k * x ** (-float(k) - 1.0) * rgamma(1.0 - alpha * k)
-        bound = abs((ASYM_TERMS + 1) * x ** (-float(ASYM_TERMS) - 2.0)
-                    * rgamma(1.0 - alpha * (ASYM_TERMS + 1)))
     else:
         ia = 1.0 / alpha
         val = ez / (alpha * alpha) * ((ia - 1.0) * x ** (ia - 2.0)
@@ -146,10 +124,7 @@ def mittag_leffler(alpha, x, deriv=0):
         for k in range(1, ASYM_TERMS + 1):
             val -= k * (k + 1.0) * x ** (-float(k) - 2.0) \
                 * rgamma(1.0 - alpha * k)
-        bound = abs((ASYM_TERMS + 1) * (ASYM_TERMS + 2)
-                    * x ** (-float(ASYM_TERMS) - 3.0)
-                    * rgamma(1.0 - alpha * (ASYM_TERMS + 1)))
-    return MLEvaluation(val, MLRegime.asymptotic, ASYM_TERMS, bound)
+    return val
 
 
 # Below _REM_MP_FROM series-minus-exp loses at most ~1e-9 of the remainders
@@ -245,7 +220,7 @@ def F_remainders(alpha, x, which):
     asymptotic correction series from REM_SWITCH (x = 30) up.
     """
     alpha = _alpha_of(alpha)
-    if x <= 0.0:
+    if not x > 0.0:
         raise DomainError("F_remainders requires x > 0")
     if which not in ("A", "B", "C"):
         raise DomainError("which must be one of 'A', 'B', 'C'")
@@ -270,7 +245,7 @@ def F_remainders(alpha, x, which):
 def F_family(alpha, x, deriv=0):
     """F_alpha(x) = E_alpha(x^alpha) and its first two derivatives."""
     alpha = _alpha_of(alpha)
-    if x < 0.0:
+    if not x >= 0.0:
         raise DomainError("F_family requires x >= 0")
     if deriv not in (0, 1, 2):
         raise DomainError("deriv must be 0, 1 or 2")
@@ -283,7 +258,7 @@ def F_family(alpha, x, deriv=0):
     if x > F_SWITCH:
         return math.exp(x) / alpha + F_remainders(alpha, x,
                                                   "ABC"[deriv])
-    return _ml_series(alpha, x, deriv, alpha)[0]
+    return _ml_series(alpha, x, deriv, alpha)
 
 
 def ml_jet(alpha, x, n, p=1):
@@ -316,36 +291,12 @@ def ml_jet(alpha, x, n, p=1):
                           % JET_MAX_TERMS, partial=totals, bound=abs(t))
 
 
-def derivative_stack(alpha, x, n_max):
-    """Exact term-wise derivatives (E_alpha(x), E'_alpha(x), ..., E^(n_max)),
-    summed at 40 digits and rounded to float."""
-    import mpmath as mp
-
-    alpha = float(alpha)
-    if not 0.0 < alpha <= 2.0:
-        raise DomainError("derivative_stack requires alpha in (0,2]")
-    if x < 0.0:
-        raise DomainError("derivative_stack requires x >= 0")
-    if not 0 <= n_max <= 12:
-        raise DomainError("n_max must lie in [0,12]")
-    with mp.workdps(40):
-        return [float(v) for v in ml_jet(alpha, x, n_max)]
-
-
 def psi(alpha, lam):
     """Lamperti exponent Gamma(lambda+alpha)/Gamma(lambda); psi(0) = 0."""
     alpha = _alpha_of(alpha)
-    if lam < 0.0:
+    if not lam >= 0.0:
         raise DomainError("psi requires lambda >= 0")
     return gamma(lam + alpha) * rgamma(lam)
-
-
-def psi_minus(alpha, lam):
-    """Gamma(alpha(lambda+1)-1)/Gamma(alpha lambda - 1) with 1/Gamma(-n) = 0."""
-    alpha = _alpha_of(alpha)
-    if lam < 0.0:
-        raise DomainError("psi_minus requires lambda >= 0")
-    return gamma(alpha * (lam + 1.0) - 1.0) * rgamma(alpha * lam - 1.0)
 
 
 def psi_general(idx, lam):
@@ -403,7 +354,7 @@ def psi_integral(alpha, lam):
     (smooth, h(0) = lam(lam+1)/2) and the substitution u = w^{1/(2-a)}.
     """
     alpha = _alpha_of(alpha)
-    if lam < 0.0:
+    if not lam >= 0.0:
         raise DomainError("psi_integral requires lambda >= 0")
     if lam == 0.0:
         return 0.0

@@ -190,6 +190,25 @@ def test_usage_errors_exit_one():
                    "--s", "1.9")[0] == 1
 
 
+_X_COMMANDS = (
+    [("ml", "--alpha", "1.5")]
+    + [("density", "--law", law, "--alpha", "1.5")
+       for law in ("valpha", "yalpha", "zbeta", "iminus")]
+    + [("fracop", "--op", op, "--function", "gauss", "--alpha", "1.5")
+       for op in ("caputo", "delta-plus", "rl-left", "rl-left-am1",
+                  "rl-right", "generator")])
+
+
+@pytest.mark.parametrize("argv", _X_COMMANDS, ids=" ".join)
+def test_nan_x_exits_one(argv, capsys):
+    # these printed "nan" with exit 0, or failed with a misleading
+    # "did not converge"; NaN now fails the domain guard itself
+    code, out = run_cli(*argv, "--x", "nan")
+    assert code == 1 and out == ""
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "converge" not in err
+
+
 def test_installed_entry_point():
     # the child imports the package this suite imported, installed or not
     root = str(Path(fracstable.__file__).resolve().parents[1])

@@ -3,10 +3,11 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from fracstable.dist import (_valpha_density, _valpha_table_at, c_alpha,
-                             iminus_laplace, iminus_laplace_quad,
-                             iminus_moment, iminus_pdf, iminus_tail_integral,
+                             iminus_laplace, iminus_moment, iminus_pdf,
+                             iminus_tail_integral,
                              kernel_apply, kernel_apply_d2, mom_V, mom_X,
                              mom_Xhat, mom_Y, positive_stable_sample,
                              stable_increment_sample, valpha_moment_quad,
@@ -15,6 +16,7 @@ from fracstable.dist import (_valpha_density, _valpha_table_at, c_alpha,
 from fracstable.errors import DomainError, EvaluationError
 from fracstable.pathsim import PathConfig, Reflect, simulate_reflected
 from fracstable.gammafn import cospi, sinpi
+from fracstable.quadrature import DEFAULT_CFG, adaptive_quad
 from fracstable.testfuncs import REGISTRY
 
 ALPHAS = (1.2, 1.5, 1.8)
@@ -118,12 +120,13 @@ EDGE_ALPHAS = (1.0 + 1e-6, 1.2, 1.5, 1.8, 2.0 - 1e-6)
 
 
 def test_valpha_and_yalpha_pdf_finite_at_every_scale():
-    # once t^{2a} overflowed, the formula gave nan, or 0 where the density
-    # is still representable; no float operation may overflow now
+    # once t^{2a} (t^2 for zbeta) overflowed, the formula gave nan, or 0
+    # where the density is still representable; no float operation may
+    # overflow now
     t = np.logspace(-300.0, 300.0, 1201)
     with np.errstate(over="raise", invalid="raise", divide="raise"):
         for a in EDGE_ALPHAS:
-            for pdf in (valpha_pdf, yalpha_pdf):
+            for pdf in (valpha_pdf, yalpha_pdf, zbeta_pdf):
                 out = pdf(a, t)
                 assert np.all(np.isfinite(out)) and np.all(out >= 0.0)
                 for x in (1e-300, 1e175, 1e300):
@@ -203,12 +206,41 @@ def test_iminus_pdf_small_t_raises_instead_of_garbage():
     assert err.value.bound == math.inf
 
 
+def _iminus_laplace_quad(alpha, q, t_split):
+    """E[exp(-q I_minus)] by quadrature of the series density on (t_split, inf)
+    plus the Mellin small-t correction.
+
+    The correction is the residue value minus the term-wise incomplete-Gamma
+    integral of the series over (t_split, inf); the deviation of this route
+    from iminus_laplace is exactly the quadrature-vs-series discrepancy, which
+    makes it an independent consistency check.
+    """
+    val, _ = adaptive_quad(lambda t: math.exp(-q * t) * iminus_pdf(alpha, t),
+                           t_split, DEFAULT_CFG.tail_cutoff)
+    # term-wise int_{t_split}^inf e^{-qt} t^{-(n+1+1/a)} dt via the upper
+    # incomplete Gamma function with negative parameter
+    ia = 1.0 / alpha
+    with mp.workdps(40):
+        acc = mp.mpf(0)
+        qm = mp.mpf(repr(q))
+        for n in range(80):
+            coef = (-1) ** n * mp.gamma(n + 1 + ia) / mp.gamma(alpha * (n + 1))
+            t = coef * qm ** (n + ia) * mp.gammainc(-(n + ia), qm * t_split,
+                                                   mp.inf)
+            acc += t
+            if abs(t) < mp.mpf("1e-25") * max(abs(acc), mp.mpf("1e-30")) \
+                    and n > 2:
+                break
+        termwise = float(c_alpha(alpha) * acc)
+    return val + (iminus_laplace(alpha, q) - termwise)
+
+
 def test_iminus_laplace_routes_agree():
     assert iminus_laplace(1.5, 1.0) == pytest.approx(IMINUS_LAPLACE_15_1,
                                                      rel=1e-9)
     for a, t_split in ((1.2, 0.5), (1.5, 0.2), (1.8, 0.2)):
         for q in (0.5, 1.0, 2.0):
-            assert iminus_laplace_quad(a, q, t_split) == pytest.approx(
+            assert _iminus_laplace_quad(a, q, t_split) == pytest.approx(
                 iminus_laplace(a, q), rel=1e-5)
     assert iminus_laplace(1.5, 0.0) == 1.0
 
@@ -221,6 +253,34 @@ def test_iminus_laplace_raises_where_its_residue_series_cancels():
             iminus_laplace(a, 20.0 ** a)
         assert math.isfinite(err.value.partial)
         assert math.isfinite(err.value.bound) and err.value.bound > 0.0
+
+
+# property tests at the domain edges: alpha anywhere in (1, 2), t over the
+# whole float range; derandomized and without an example database, so every
+# run draws the same examples and writes nothing
+_EDGES = settings(derandomize=True, database=None, deadline=None,
+                  max_examples=300)
+_ALPHA = st.floats(1.0, 2.0, exclude_min=True, exclude_max=True)
+_LOG10_T = st.floats(-300.0, 300.0)
+
+
+@_EDGES
+@given(_ALPHA, _LOG10_T)
+@example(2.0 - 2.0 ** -52, 0.0)   # cos(pi beta) rounds to -1: once 1/0
+def test_zbeta_pdf_finite_and_nonnegative_everywhere(alpha, u):
+    with np.errstate(over="raise"):
+        v = zbeta_pdf(alpha, 10.0 ** u)
+    assert math.isfinite(v) and v >= 0.0
+
+
+@_EDGES
+@given(_ALPHA, _LOG10_T)
+def test_iminus_pdf_nonnegative_or_raises_evaluation_error(alpha, u):
+    try:
+        v = iminus_pdf(alpha, 10.0 ** u)
+    except EvaluationError:
+        return
+    assert v >= 0.0
 
 
 def test_c_alpha_positive():

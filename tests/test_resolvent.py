@@ -2,13 +2,15 @@ import math
 
 import pytest
 
-from fracstable.dist import _valpha_density
+from fracstable.dist import (_valpha_density, iminus_laplace, iminus_pdf,
+                             iminus_tail_integral, kernel_apply)
 from fracstable.errors import DomainError
 from fracstable.quadrature import adaptive_quad
 from fracstable.resolvent import (lambda_f, rep_pointwise, u1_apply,
                                   u1_density, u1_mass, uhat1_apply,
                                   uhat1_density, uhat1_mass,
                                   uhat1_resolvent_function)
+from fracstable.specfun import F_family, F_remainders, mittag_leffler
 from fracstable.testfuncs import REGISTRY
 
 GAUSS = REGISTRY["gauss"]
@@ -62,6 +64,26 @@ def test_density_domain_guards():
         uhat1_density(1.5, -1.0, 1.0)
     with pytest.raises(DomainError):
         u1_density(1.5, 1.0, 0.0)
+
+
+def test_nan_arguments_raise_domain_error():
+    # every guard is written so that NaN fails it; these returned nan or
+    # raised EvaluationError after summing a series of nans
+    nan = math.nan
+    calls = (lambda: F_remainders(1.5, nan, "A"),
+             lambda: F_family(1.5, nan),
+             lambda: mittag_leffler(1.5, nan),
+             lambda: u1_density(1.5, nan, 1.0),
+             lambda: u1_density(1.5, 1.0, nan),
+             lambda: uhat1_density(1.5, 1.0, nan),
+             lambda: kernel_apply(GAUSS, 1.5, nan),
+             lambda: iminus_pdf(1.5, nan),
+             lambda: iminus_tail_integral(1.5, nan),
+             lambda: iminus_laplace(1.5, nan),
+             lambda: rep_pointwise(1.5, nan))
+    for call in calls:
+        with pytest.raises(DomainError):
+            call()
 
 
 def test_total_masses_are_one():
