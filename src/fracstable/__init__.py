@@ -6,7 +6,7 @@ together."""
 from ._kernels import BACKEND
 from .errors import (DomainError, EvaluationError, FracstableError,
                      RootNotFoundError, SamplerError)
-from .quadrature import DEFAULT_CFG, QuadratureConfig, adaptive_quad
+from .quadrature import adaptive_quad
 from .specfun import (F_family, F_remainders, GeneralIndex, mittag_leffler,
                       psi, psi_general, psi_integral, theta_root)
 from .fracops import (SmoothTestFunction, caputo, delta_plus, is_in_domain_D,
@@ -30,9 +30,9 @@ from .verify import (VerificationReport, check_cm, check_factorization,
 __version__ = "0.1.0"
 
 __all__ = [
-    "BACKEND", "DEFAULT_CFG", "DomainError", "EvaluationError", "F_family",
-    "F_remainders", "FracstableError", "GeneralIndex", "PathConfig",
-    "QuadratureConfig", "Reflect", "RootNotFoundError", "SamplerError",
+    "BACKEND", "DomainError", "EvaluationError", "F_family", "F_remainders",
+    "FracstableError", "GeneralIndex", "PathConfig", "Reflect",
+    "RootNotFoundError", "SamplerError",
     "SmoothTestFunction", "TEST_FUNCTIONS", "VerificationReport",
     "adaptive_quad", "bias_calibration", "c_alpha", "caputo", "check_cm",
     "check_factorization", "check_identity_law", "check_intertwining",

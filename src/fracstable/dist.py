@@ -15,7 +15,7 @@ from scipy.interpolate import PchipInterpolator
 
 from .errors import DomainError, EvaluationError, SamplerError
 from .gammafn import gamma, rgamma, sinpi, cospi
-from .quadrature import DEFAULT_CFG, adaptive_quad
+from .quadrature import REL_TOL, TAIL_CUTOFF, adaptive_quad
 from .specfun import _alpha_of
 
 _BLOCK = 1 << 16          # sub-stream block length for parallel-safe sampling
@@ -464,7 +464,7 @@ def valpha_sample(alpha, n, seed):
 # ---------------------------------------------------------------------------
 # the multiplicative kernel V_alpha f(x) = E[f(x V_alpha)]
 
-def kernel_apply(f, alpha, x, cfg=DEFAULT_CFG):
+def kernel_apply(f, alpha, x, tol=REL_TOL):
     """E[f(x V_alpha)] by singularity-adapted quadrature."""
     alpha = _alpha_of(alpha)
     if not x >= 0.0:
@@ -477,26 +477,26 @@ def kernel_apply(f, alpha, x, cfg=DEFAULT_CFG):
     pdf = _valpha_density(alpha)
 
     below, _ = adaptive_quad(
-        lambda s: fv(x * s ** p) * smooth(s ** p), 0.0, 1.0, cfg)
+        lambda s: fv(x * s ** p) * smooth(s ** p), 0.0, 1.0, tol)
     below *= p
     above, _ = adaptive_quad(
         lambda r: fv(x / r) * pdf(1.0 / r) / (r * r),
-        0.0, 1.0, cfg, points=[x] if 0.0 < x < 1.0 else None)
+        0.0, 1.0, tol, points=[x] if 0.0 < x < 1.0 else None)
     return below + above
 
 
 def kernel_apply_d2(f, alpha, x):
     """(V_alpha f)''(x) = E[V_alpha^2 f''(x V_alpha)] for f in the domain D.
 
-    Defined for x > 0 only: at x = 0 it would be E[V_alpha^2] f''(0), which
-    diverges, because V_alpha has moments only of order s < alpha < 2.  As
-    x -> 0 it grows like x^{alpha-2}, finite while tail_cutoff / x is.
+    Defined for finite x > 0 only: at x = 0 it would be E[V_alpha^2] f''(0),
+    which diverges, because V_alpha has moments only of order s < alpha < 2.
+    As x -> 0 it grows like x^{alpha-2}, finite while TAIL_CUTOFF / x is.
     """
     alpha = _alpha_of(alpha)
-    T = DEFAULT_CFG.tail_cutoff
-    if not (x > 0.0 and T / x < math.inf):
-        raise DomainError("kernel_apply_d2 requires x > 0, with tail_cutoff "
-                          "/ x in float range")
+    T = TAIL_CUTOFF
+    if not (0.0 < x < math.inf and T / x < math.inf):
+        raise DomainError("kernel_apply_d2 requires finite x > 0, with "
+                          "TAIL_CUTOFF / x in float range")
     p = 1.0 / (alpha - 1.0)
     smooth = _valpha_smooth(alpha)
     pdf = _valpha_density(alpha)

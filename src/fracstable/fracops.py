@@ -5,17 +5,21 @@ boundary corrections; the (x-u)^{1-alpha} endpoint singularity is removed
 analytically by the substitution u = x(1 - s^{1/(2-alpha)}).
 """
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
 from .errors import DomainError, EvaluationError
 from .gammafn import gamma
-from .quadrature import DEFAULT_CFG, adaptive_quad
+from .quadrature import REL_TOL, TAIL_CUTOFF, adaptive_quad
 from .specfun import GeneralIndex, _alpha_of
 
 _DECAY_PROBES = (1e2, 1e3, 1e4)
 _SMOKE_GRID = (0.3, 0.7, 1.5, 3.0)
 _SINGULAR_SPLIT = 0.1   # share of [0, x] in _caputo_core's panel at u = 0
+# from x = 2^53 on, the float s nearest 1 maps to u = x(1 - s^p) >= 1, so
+# no quadrature node of _caputo_core lands in u in (0, 1)
+_X_UNRESOLVED = 2.0 ** 53
 
 
 @dataclass(frozen=True)
@@ -78,29 +82,32 @@ def is_in_domain_D(f, alpha):
     return ok, diag
 
 
-def _caputo_core(d2, alpha, x, cfg):
+def _caputo_core(d2, alpha, x, tol):
     # (1/G(2-a)) int_0^x f''(u) (x-u)^{1-a} du via u = x(1 - s^{1/(2-a)})
+    if not x < _X_UNRESOLVED:
+        raise EvaluationError("x = %.3g is beyond the Caputo substitution: "
+                              "no quadrature node lands in 0 < u < 1" % x)
     p = 1.0 / (2.0 - alpha)
     pref = x ** (2.0 - alpha) / ((2.0 - alpha) * gamma(2.0 - alpha))
     # reserve a panel near s = 1 (u near 0) for kernel-composed integrands
     s_split = (1.0 - _SINGULAR_SPLIT) ** (2.0 - alpha)
     val, _ = adaptive_quad(lambda s: d2(x * (1.0 - s ** p)), 0.0, 1.0,
-                           cfg, points=[s_split])
+                           tol, points=[s_split])
     return pref * val
 
 
-def caputo(f, alpha, x, cfg=DEFAULT_CFG):
+def caputo(f, alpha, x, tol=REL_TOL):
     """Caputo derivative of order alpha in (1,2) at x > 0."""
     alpha = _alpha_of(alpha)
     if not x > 0.0:
         raise DomainError("caputo requires x > 0")
-    return _caputo_core(f.eval_f2, alpha, x, cfg)
+    return _caputo_core(f.eval_f2, alpha, x, tol)
 
 
-def delta_plus(f, alpha, x, cfg=DEFAULT_CFG):
+def delta_plus(f, alpha, x, tol=REL_TOL):
     """Caputo plus the f'(0) boundary term: the reflected generator form."""
     alpha = _alpha_of(alpha)
-    val = caputo(f, alpha, x, cfg)
+    val = caputo(f, alpha, x, tol)
     if not f.fprime0_is_zero:
         val += f.eval_f1(0.0) * x ** (1.0 - alpha) / gamma(2.0 - alpha)
     return val
@@ -118,45 +125,47 @@ def rl_left_alpha_minus1(g, alpha, x):
     alpha = _alpha_of(alpha)
     if not x > 0.0:
         raise DomainError("rl_left_alpha_minus1 requires x > 0")
-    val = _caputo_core(g.eval_f1, alpha, x, DEFAULT_CFG)
+    val = _caputo_core(g.eval_f1, alpha, x, REL_TOL)
     return val + g.eval_f(0.0) * x ** (1.0 - alpha) / gamma(2.0 - alpha)
 
 
-def _right_core(dfun, kappa, gam, x, cfg):
+def _right_core(dfun, kappa, gam, x, tol):
     """int_0^inf u^{-kappa} dfun(x+u) du for kappa in (0,1), plus tail bound.
 
-    gam is the certified decay exponent of dfun; the tail beyond the cutoff
-    is bounded by sup y^gam |dfun(y)| * T^{1-kappa-gam}/(gam-(1-kappa)).
+    gam is the certified decay exponent of dfun; the tail beyond
+    T = TAIL_CUTOFF is bounded by sup y^gam |dfun(y)| *
+    T^{1-kappa-gam}/(gam-(1-kappa)), which must stay within 1e3 times the
+    accuracy asked of the quadratures.
     """
     if gam <= 1.0 - kappa:
         raise DomainError("decay exponent too small for the improper tail")
-    T = cfg.tail_cutoff
-    c = min(1.0, T)
+    T = TAIL_CUTOFF
     p = 1.0 / (1.0 - kappa)
-    near, _ = adaptive_quad(lambda s: dfun(x + c * s ** p), 0.0, 1.0, cfg)
-    near *= c ** (1.0 - kappa) / (1.0 - kappa)
-    far = 0.0
-    if T > c:
-        far, _ = adaptive_quad(lambda u: u ** (-kappa) * dfun(x + u),
-                               c, T, cfg)
-    m = max(abs((x + T) ** gam * dfun(x + T)),
-            abs((2.0 * (x + T)) ** gam * dfun(2.0 * (x + T))),
-            abs((5.0 * (x + T)) ** gam * dfun(5.0 * (x + T))))
-    tail_bound = m * T ** (1.0 - kappa - gam) / (gam - (1.0 - kappa))
+    near, _ = adaptive_quad(lambda s: dfun(x + s ** p), 0.0, 1.0, tol)
+    near *= 1.0 / (1.0 - kappa)
+    far, _ = adaptive_quad(lambda u: u ** (-kappa) * dfun(x + u), 1.0, T, tol)
     val = near + far
-    if tail_bound > 1e3 * max(cfg.abs_tol, cfg.rel_tol * abs(val)):
+    try:
+        m = max(abs((x + T) ** gam * dfun(x + T)),
+                abs((2.0 * (x + T)) ** gam * dfun(2.0 * (x + T))),
+                abs((5.0 * (x + T)) ** gam * dfun(5.0 * (x + T))))
+    except OverflowError:
+        raise EvaluationError("improper-tail probe overflows at x = %.3g" % x,
+                              partial=val, bound=math.inf) from None
+    tail_bound = m * T ** (1.0 - kappa - gam) / (gam - (1.0 - kappa))
+    if not tail_bound <= 1e3 * max(tol / 1e4, tol * abs(val)):
         raise EvaluationError("improper-tail bound %.3g exceeds tolerance "
                               "budget" % tail_bound,
                               partial=val, bound=tail_bound)
     return val
 
 
-def rl_right(f, alpha, x, cfg=DEFAULT_CFG):
+def rl_right(f, alpha, x, tol=REL_TOL):
     """Right RL derivative (1/G(2-a)) int_0^inf u^{1-a} f''(x+u) du, x >= 0."""
     alpha = _alpha_of(alpha)
     if not x >= 0.0:
         raise DomainError("rl_right requires x >= 0")
-    core = _right_core(f.eval_f2, alpha - 1.0, f.decay_gamma, x, cfg)
+    core = _right_core(f.eval_f2, alpha - 1.0, f.decay_gamma, x, tol)
     return core / gamma(2.0 - alpha)
 
 
@@ -183,6 +192,6 @@ def reflected_generator_general(f, idx, x):
         dminus = 0.0
         if idx.cplus != 0.0:
             dminus = _right_core(f.eval_f1, a, f.decay_gamma, x,
-                                 DEFAULT_CFG) / (a * ga)
+                                 REL_TOL) / (a * ga)
     return ga * (idx.cminus * dplus + idx.cplus * dminus) \
         + idx.cminus * f.eval_f(0.0) / (a * x ** a)

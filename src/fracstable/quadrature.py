@@ -1,60 +1,38 @@
-"""Adaptive quadrature plumbing shared by the operator and density modules."""
+"""Adaptive quadrature shared by the operator and density modules: one
+relative tolerance sets each integral (nested layers scale REL_TOL), and
+improper integrals stop at TAIL_CUTOFF, their callers bounding the rest."""
 
+import math
 import warnings
-from dataclasses import dataclass, replace
 
 import scipy.integrate as _si
 
-from .errors import EvaluationError
+from .errors import DomainError, EvaluationError
+
+REL_TOL = 1e-8
+TAIL_CUTOFF = 1e3
+_LIMIT = 1024   # subdivisions of [a, b]
 
 
-@dataclass(frozen=True)
-class QuadratureConfig:
-    """Tolerances and limits for singular/improper integrals.
-
-    rel_tol/abs_tol feed the adaptive integrator directly.  Composite
-    operations (nested quadratures, operator pipelines) should loosen via
-    :meth:`composite`.  tail_cutoff truncates improper integrals, with the
-    analytic remainder bounded separately by the caller.
-    """
-
-    rel_tol: float = 1e-8
-    abs_tol: float = 1e-12
-    max_subdivisions: int = 1024
-    tail_cutoff: float = 1e3
-
-    def __post_init__(self):
-        if self.rel_tol <= 0 or self.abs_tol <= 0:
-            raise ValueError("tolerances must be positive")
-        if self.max_subdivisions < 8:
-            raise ValueError("max_subdivisions must be >= 8")
-        if self.tail_cutoff <= 0:
-            raise ValueError("tail_cutoff must be positive")
-
-    def composite(self, factor):
-        """Loosened copy for outer layers of nested quadrature."""
-        return replace(self, rel_tol=self.rel_tol * factor,
-                       abs_tol=self.abs_tol * factor)
-
-
-DEFAULT_CFG = QuadratureConfig()
-
-
-def adaptive_quad(fun, a, b, cfg=DEFAULT_CFG, points=None):
+def adaptive_quad(fun, a, b, tol=REL_TOL, points=None):
     """Integrate fun over [a, b] (b may be inf), returning (value, err_bound).
 
-    Raises EvaluationError when the integrator's own error estimate is far
-    beyond the requested tolerance.
+    Asks for relative accuracy tol with absolute floor tol / 1e4, and raises
+    EvaluationError unless the value is finite and the integrator's own
+    error estimate is within 100 times that.
     """
-    kwargs = dict(epsabs=cfg.abs_tol, epsrel=cfg.rel_tol,
-                  limit=cfg.max_subdivisions)
-    if points is not None and b != float("inf"):
+    if not tol > 0.0:
+        raise DomainError("quadrature tolerance must be positive")
+    floor = tol / 1e4
+    kwargs = dict(epsabs=floor, epsrel=tol, limit=_LIMIT)
+    if points is not None and b != math.inf:
         kwargs["points"] = points
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", _si.IntegrationWarning)
         val, err = _si.quad(fun, a, b, **kwargs)
-    if err > 100.0 * max(cfg.abs_tol, cfg.rel_tol * abs(val)):
+    if not (math.isfinite(val) and err <= 100.0 * max(floor, tol * abs(val))):
         raise EvaluationError(
-            "quadrature error estimate %.3g exceeds tolerance budget" % err,
+            "quadrature value %.3g with error estimate %.3g is outside the "
+            "tolerance budget" % (val, err),
             partial=val, bound=err)
     return val, err

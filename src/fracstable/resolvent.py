@@ -15,13 +15,12 @@ import math
 from .errors import DomainError
 from .fracops import SmoothTestFunction
 from .gammafn import gamma
-from .quadrature import DEFAULT_CFG, adaptive_quad
+from .quadrature import REL_TOL, TAIL_CUTOFF, adaptive_quad
 from .specfun import (F_family, F_remainders, REM_SWITCH, _REM_MP_FROM,
                       _alpha_of)
 from .dist import iminus_laplace, iminus_moment
 
-_CUTOFF = DEFAULT_CFG.tail_cutoff   # upper limit of the improper y-integrals
-_TIGHT = DEFAULT_CFG.composite(0.1)   # convolutions, a notch tighter
+_TIGHT = REL_TOL * 0.1   # convolutions, a notch tighter
 
 
 def _rem(alpha, x, which):
@@ -63,7 +62,7 @@ def u1_density(alpha, x, y):
 def lambda_f(f):
     """lambda_f = int_0^inf e^{-y} f(y) dy."""
     fv = f.eval_f if hasattr(f, "eval_f") else f
-    val, _ = adaptive_quad(lambda y: math.exp(-y) * fv(y), 0.0, _CUTOFF)
+    val, _ = adaptive_quad(lambda y: math.exp(-y) * fv(y), 0.0, TAIL_CUTOFF)
     return val
 
 
@@ -72,9 +71,9 @@ def uhat1_apply(f, alpha, x):
     alpha = _alpha_of(alpha)
     fv = f.eval_f if hasattr(f, "eval_f") else f
     pts = sorted(p for p in (x, x - REM_SWITCH, x - _REM_MP_FROM)
-                 if 0.0 < p < _CUTOFF)
+                 if 0.0 < p < TAIL_CUTOFF)
     val, _ = adaptive_quad(lambda y: uhat1_density(alpha, x, y) * fv(y),
-                           0.0, _CUTOFF, points=pts or None)
+                           0.0, TAIL_CUTOFF, points=pts or None)
     return val
 
 
@@ -99,7 +98,7 @@ def u1_apply(f, alpha, x):
     """(U_1 f)(x) by quadrature against the density up to the tail cutoff."""
     alpha = _alpha_of(alpha)
     fv = f.eval_f if hasattr(f, "eval_f") else f
-    return _u1_integral(fv, alpha, x, _CUTOFF)
+    return _u1_integral(fv, alpha, x, TAIL_CUTOFF)
 
 
 def uhat1_mass(alpha, x):

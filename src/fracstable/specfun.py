@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 from .errors import DomainError, EvaluationError, RootNotFoundError
 from .gammafn import cospi, gamma, rgamma, sinpi
-from .quadrature import DEFAULT_CFG, adaptive_quad
+from .quadrature import REL_TOL, adaptive_quad
 
 # Series/asymptotic switch for F_alpha (argument x scale) and the point where
 # remainder evaluation moves from the Laplace integral to the asymptotic tail.
@@ -93,6 +93,14 @@ def _ml_series(alpha, x, deriv, p):
                           % MAX_TERMS, partial=total, bound=last)
 
 
+def _exp(z):
+    """e^z, with float overflow raised as EvaluationError."""
+    try:
+        return math.exp(z)
+    except OverflowError:
+        raise EvaluationError("e^%.6g overflows float range" % z) from None
+
+
 def mittag_leffler(alpha, x, deriv=0):
     """E_alpha^{(deriv)}(x) for alpha in (0,2], x >= 0, deriv in {0,1,2}."""
     alpha = float(alpha)
@@ -108,7 +116,7 @@ def mittag_leffler(alpha, x, deriv=0):
         return _ml_series(alpha, x, deriv, 1)
 
     # exponential branch: E_alpha(x) ~ e^z/alpha - sum_k x^{-k}/Gamma(1-alpha k)
-    ez = math.exp(z)
+    ez = _exp(z)
     if deriv == 0:
         val = ez / alpha
         for k in range(1, ASYM_TERMS + 1):
@@ -124,6 +132,11 @@ def mittag_leffler(alpha, x, deriv=0):
         for k in range(1, ASYM_TERMS + 1):
             val -= k * (k + 1.0) * x ** (-float(k) - 2.0) \
                 * rgamma(1.0 - alpha * k)
+    # E_alpha(inf) = inf is returned as its limit; inf at finite x is an
+    # overflow, and the derivatives at x = inf come out as inf * 0 = nan
+    if val != val or (val == math.inf and x < math.inf):
+        raise EvaluationError("E_alpha^(%d)(%.6g) is beyond float range"
+                              % (deriv, x))
     return val
 
 
@@ -133,7 +146,7 @@ def mittag_leffler(alpha, x, deriv=0):
 # both names.
 _REM_MP_FROM = 3.0
 # rel 1e-10 per panel: the integral stays within 2e-11 of a 60-digit sum
-_REM_CFG = DEFAULT_CFG.composite(0.01)
+_REM_TOL = REL_TOL * 0.01
 # half-width of the theta panel around 1/Q's peak, in v^alpha - c: 100 |s|
 # covers the peak, and at least 1e-4 keeps v^alpha - c, rounded in float,
 # accurate to 1e-12 relative on the v panels beside it
@@ -193,7 +206,7 @@ def _rem_integral(alpha, x, d):
 
     if c <= 0.0:
         # Q >= 1 increases with v: no peak
-        val, _ = adaptive_quad(v_form, 0.0, math.inf, _REM_CFG)
+        val, _ = adaptive_quad(v_form, 0.0, math.inf, _REM_TOL)
         return sign * scale * val
     ia = 1.0 / alpha
     v0 = c ** ia
@@ -203,10 +216,10 @@ def _rem_integral(alpha, x, d):
         v = (c + ms * math.tan(th)) ** ia
         return v ** d * math.exp(-x * (v - v0))
 
-    below, _ = adaptive_quad(v_form, 0.0, x * (c - w) ** ia, _REM_CFG)
-    above, _ = adaptive_quad(v_form, x * (c + w) ** ia, math.inf, _REM_CFG)
+    below, _ = adaptive_quad(v_form, 0.0, x * (c - w) ** ia, _REM_TOL)
+    above, _ = adaptive_quad(v_form, x * (c + w) ** ia, math.inf, _REM_TOL)
     th = math.atan(w / ms)
-    peak, _ = adaptive_quad(theta_form, -th, th, _REM_CFG)
+    peak, _ = adaptive_quad(theta_form, -th, th, _REM_TOL)
     return sign * (scale * (below + above)
                    + math.exp(-x * v0) / (alpha * math.pi) * peak)
 
@@ -256,8 +269,7 @@ def F_family(alpha, x, deriv=0):
             return 0.0
         raise DomainError("F'' is singular at x = 0")
     if x > F_SWITCH:
-        return math.exp(x) / alpha + F_remainders(alpha, x,
-                                                  "ABC"[deriv])
+        return _exp(x) / alpha + F_remainders(alpha, x, "ABC"[deriv])
     return _ml_series(alpha, x, deriv, alpha)
 
 

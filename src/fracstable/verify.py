@@ -13,7 +13,7 @@ from .dist import (mom_V, mom_X, mom_Xhat, valpha_sample, xhat_sample,
 from .errors import DomainError
 from .fracops import delta_plus, is_in_domain_D, rl_right
 from .pathsim import MOMENT_GRID, bias_calibration, simulate_reflected
-from .quadrature import DEFAULT_CFG
+from .quadrature import REL_TOL
 from .resolvent import (u1_resolvent_function, uhat1_resolvent_function,
                         rep_pointwise)
 from .specfun import ml_jet, psi, psi_integral, _alpha_of
@@ -74,7 +74,7 @@ def check_intertwining(f, alpha, x_grid):
         failed = [k for k, v in diag.items() if v is False]
         raise DomainError("test function is not in the operator domain: %s"
                           % ", ".join(failed))
-    outer = DEFAULT_CFG.composite(10.0)
+    outer = REL_TOL * 10.0
     vf = SmoothTestFunction(
         eval_f=lambda x: kernel_apply(f, alpha, x),
         eval_f1=lambda x: 0.0,          # unused: (V_a f)'(0) = 0 for f in D
@@ -88,7 +88,7 @@ def check_intertwining(f, alpha, x_grid):
         denom = max(abs(rhs), abs(lhs), abs_floor / tolerance)
         residuals.append((float(x), abs(lhs - rhs) / denom))
     params = {"function": getattr(f, "name", None), "abs_floor": abs_floor,
-              "rel_tol": DEFAULT_CFG.rel_tol}
+              "rel_tol": REL_TOL}
     return _finish("intertwining", alpha, params, residuals, tolerance, t0)
 
 

@@ -1,5 +1,6 @@
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -160,10 +161,15 @@ def test_verify_nonfinite_residual_exits_two():
     data = json.loads(out)
     assert data["max_abs_residual"] != data["max_abs_residual"]   # NaN
     assert not data["passed"]
+
+
+def test_verify_lamperti_at_infinite_lambda_exits_one(capsys):
+    # psi_integral's quadrature returns NaN at lam = inf, and a NaN
+    # quadrature value raises instead of becoming a residual
     code, out = run_cli("verify", "lamperti", "--alpha", "1.5",
                         "--lam", "0.5,inf")
-    assert code == 2
-    assert not json.loads(out)["passed"]
+    assert code == 1 and out == ""
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_negative_seed_exits_one(monkeypatch, capsys):
@@ -207,6 +213,38 @@ def test_nan_x_exits_one(argv, capsys):
     assert code == 1 and out == ""
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "converge" not in err
+
+
+_OVERFLOW_COMMANDS = (
+    [("verify", "resolvent", "--alpha", "1.5", "--x", "800"),
+     ("verify", "intertwining", "--alpha", "1.5", "--x", "1e300"),
+     ("ml", "--alpha", "1.5", "--x", "1e300"),
+     ("ml", "--alpha", "0.5", "--x", "800"),
+     ("ml", "--alpha", "1.5", "--x", "inf", "--deriv", "1"),
+     ("ml", "--alpha", "1.5", "--x", "inf", "--deriv", "2"),
+     ("fracop", "--op", "generator", "--function", "gauss", "--alpha", "0.6",
+      "--x", "1e300")]
+    + [argv + ("--x", x) for argv in _X_COMMANDS if argv[0] == "fracop"
+       for x in ("inf", "1e300")])
+
+
+@pytest.mark.parametrize("argv", _OVERFLOW_COMMANDS, ids=" ".join)
+def test_overflow_and_infinity_exit_one(argv, capsys):
+    # these printed nan or inf with exit 0, or died with a bare
+    # OverflowError traceback
+    code, out = run_cli(*argv)
+    assert code == 1 and out == ""
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_limit_values_at_infinity_stay():
+    assert parse_csv(run_cli("ml", "--alpha", "1.5", "--x", "inf")[1])[1] \
+        == [[math.inf, math.inf]]
+    for law in ("valpha", "yalpha", "zbeta", "iminus"):
+        code, out = run_cli("density", "--law", law, "--alpha", "1.5",
+                            "--x", "inf,1e300")
+        assert code == 0
+        assert parse_csv(out)[1] == [[math.inf, 0.0], [1e300, 0.0]]
 
 
 def test_installed_entry_point():

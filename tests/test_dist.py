@@ -16,7 +16,7 @@ from fracstable.dist import (_valpha_density, _valpha_table_at, c_alpha,
 from fracstable.errors import DomainError, EvaluationError
 from fracstable.pathsim import PathConfig, Reflect, simulate_reflected
 from fracstable.gammafn import cospi, sinpi
-from fracstable.quadrature import DEFAULT_CFG, adaptive_quad
+from fracstable.quadrature import TAIL_CUTOFF, adaptive_quad
 from fracstable.testfuncs import REGISTRY
 
 ALPHAS = (1.2, 1.5, 1.8)
@@ -216,7 +216,7 @@ def _iminus_laplace_quad(alpha, q, t_split):
     makes it an independent consistency check.
     """
     val, _ = adaptive_quad(lambda t: math.exp(-q * t) * iminus_pdf(alpha, t),
-                           t_split, DEFAULT_CFG.tail_cutoff)
+                           t_split, TAIL_CUTOFF)
     # term-wise int_{t_split}^inf e^{-qt} t^{-(n+1+1/a)} dt via the upper
     # incomplete Gamma function with negative parameter
     ia = 1.0 / alpha
@@ -404,11 +404,12 @@ def test_kernel_apply_d2_matches_finite_difference():
 
 
 def test_kernel_apply_d2_rejects_nonpositive_x():
-    # at x = 0 the value would be E[V^2] f''(0), and E[V^2] diverges
-    for x in (0.0, -1.0):
-        with pytest.raises(DomainError, match="x > 0"):
+    # at x = 0 the value would be E[V^2] f''(0), and E[V^2] diverges; x = inf
+    # must fail too, though TAIL_CUTOFF / inf = 0 is in float range
+    for x in (0.0, -1.0, math.inf):
+        with pytest.raises(DomainError, match="finite x > 0"):
             kernel_apply_d2(GAUSS, 1.5, x)
-    with pytest.raises(DomainError, match="tail_cutoff"):
+    with pytest.raises(DomainError, match="TAIL_CUTOFF"):
         kernel_apply_d2(GAUSS, 1.5, 1e-310)
 
 

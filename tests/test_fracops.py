@@ -2,11 +2,12 @@ import math
 
 import pytest
 
+from fracstable import fracops
 from fracstable.errors import DomainError, EvaluationError
 from fracstable.fracops import (SmoothTestFunction, caputo, delta_plus,
                                 is_in_domain_D, reflected_generator_general,
                                 rl_left_alpha, rl_left_alpha_minus1, rl_right)
-from fracstable.quadrature import QuadratureConfig
+from fracstable.quadrature import REL_TOL
 from fracstable.specfun import GeneralIndex
 from fracstable.testfuncs import REGISTRY
 
@@ -122,14 +123,14 @@ def test_rl_right_domain_guard():
         rl_right(weak, 1.9, 1.0)
 
 
-def test_rl_right_improper_tail_beyond_budget_raises():
+def test_rl_right_improper_tail_beyond_budget_raises(monkeypatch):
     # cauchy2 is certified with decay exponent 1 only, so cutting the
     # improper integral at 2 leaves a tail bound far above the budget
     f = REGISTRY["cauchy2"]
     assert math.isfinite(rl_right(f, 1.5, 0.5))
-    cfg = QuadratureConfig(tail_cutoff=2.0)
+    monkeypatch.setattr(fracops, "TAIL_CUTOFF", 2.0)
     with pytest.raises(EvaluationError, match="improper-tail") as exc:
-        rl_right(f, 1.5, 0.5, cfg)
+        rl_right(f, 1.5, 0.5)
     err = exc.value
     assert math.isfinite(err.partial) and math.isfinite(err.bound)
-    assert err.bound > 1e3 * max(cfg.abs_tol, cfg.rel_tol * abs(err.partial))
+    assert err.bound > 1e3 * max(REL_TOL / 1e4, REL_TOL * abs(err.partial))
