@@ -1,10 +1,17 @@
-"""Adaptive quadrature shared by the operator and density modules: one
-relative tolerance sets each integral (nested layers scale REL_TOL), and
-improper integrals stop at TAIL_CUTOFF, their callers bounding the rest."""
+"""The two quadrature rules under every certificate.
+
+adaptive_quad, scipy's adaptive Gauss-Kronrod, serves every integral but
+the resolvent convolutions: one relative tolerance sets each integral
+(nested layers scale REL_TOL), and improper integrals stop at TAIL_CUTOFF,
+their callers bounding the rest.  tanh_sinh, a fixed nested rule over node
+arrays, serves the resolvent convolutions, whose integrands take a whole
+level of nodes at a time.
+"""
 
 import math
 import warnings
 
+import numpy as np
 import scipy.integrate as _si
 
 from .errors import DomainError, EvaluationError
@@ -36,3 +43,67 @@ def adaptive_quad(fun, a, b, tol=REL_TOL, points=None):
             "tolerance budget" % (val, err),
             partial=val, bound=err)
     return val, err
+
+
+def _tanh_sinh_levels():
+    """Per level: step h and the new nodes' shares of [a, b] from each end,
+    with their weights.  t runs over [-4, 4], where the nodes sit 1e-37 of
+    b - a from the ends and the weights fall to 5e-36; level 0 takes the
+    integers, level k the odd multiples of 2^-k.  With y = (pi/2) sinh t the
+    node sits at share 1/(1 + e^{-2y}) from a and 1/(1 + e^{2y}) from b,
+    each formed without cancellation."""
+    levels = []
+    for k in range(8):
+        h = 2.0 ** -k
+        t = -4.0 + h * (np.arange(9.0) if k == 0
+                        else np.arange(1.0, 8.0 / h, 2.0))
+        y = 0.5 * math.pi * np.sinh(t)
+        arrays = (1.0 / (1.0 + np.exp(-2.0 * y)),
+                  1.0 / (1.0 + np.exp(2.0 * y)),
+                  0.25 * math.pi * np.cosh(t) / np.cosh(y) ** 2)
+        for v in arrays:
+            v.setflags(write=False)
+        levels.append((h,) + arrays)
+    return tuple(levels)
+
+
+_TS_LEVELS = _tanh_sinh_levels()
+
+
+def tanh_sinh_nodes(a, b):
+    """Yield each level's new nodes of tanh_sinh on [a, b], coarsest first,
+    as (distance from a, distance from b) array pairs."""
+    for _, pa, pb, _ in _TS_LEVELS:
+        yield pa * (b - a), pb * (b - a)
+
+
+def tanh_sinh(fun, a, b, tol):
+    """Integrate fun over finite [a, b] by the tanh-sinh rule (Takahasi &
+    Mori, Publ. RIMS 9 (1974)), returning (value, err_estimate).
+
+    fun(da, db) takes the arrays of the nodes' distances from a and from b,
+    so that b - t is never formed by subtraction; it is called once per
+    level with that level's new nodes, in the order of tanh_sinh_nodes.
+    Endpoint singularities such as u^(alpha-1) cost no extra nodes; one
+    like u^-p is resolved to double precision for p up to about 1/2.  The
+    error estimate is the change from the previous level, accepted within
+    relative tol with absolute floor tol / 1e4; past the last level the
+    rule raises EvaluationError with the value as partial and the estimate
+    as bound.
+    """
+    if not tol > 0.0:
+        raise DomainError("quadrature tolerance must be positive")
+    floor = tol / 1e4
+    total = 0.0
+    val = err = math.nan
+    for (h, _, _, w), (da, db) in zip(_TS_LEVELS, tanh_sinh_nodes(a, b)):
+        total += float(np.dot(w, fun(da, db)))
+        prev, val = val, (b - a) * h * total
+        err = abs(val - prev)
+        if not math.isfinite(val):
+            break
+        if err <= max(floor, tol * abs(val)):
+            return val, err
+    raise EvaluationError(
+        "tanh-sinh value %.3g with level change %.3g is outside the "
+        "tolerance budget" % (val, err), partial=val, bound=err)

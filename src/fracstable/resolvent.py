@@ -8,19 +8,33 @@ takes them from F_alpha's series below x = 3 (_REM_MP_FROM), from a Laplace
 integral of a positive density on [3, 30) and from the asymptotic series
 from x = 30 (REM_SWITCH) up; the quadratures here mark both switches, where
 the remainders change branch, as breakpoints.
+
+The resolvents Uhat_1 f and U_1 f as test functions are convolutions of F'
+with f.  Those run on the tanh-sinh rule over F_family's array form, one
+matrix per level of nodes; the cross term's F' values on [0, 50] are the
+same at every x, so each U_1 f computes them once.  Every other integral
+here is on adaptive_quad.
 """
 
 import math
 
-from .errors import DomainError
+import numpy as np
+
+from .errors import DomainError, EvaluationError
 from .fracops import SmoothTestFunction
 from .gammafn import gamma
-from .quadrature import REL_TOL, TAIL_CUTOFF, adaptive_quad
+from .quadrature import (REL_TOL, TAIL_CUTOFF, adaptive_quad, tanh_sinh,
+                         tanh_sinh_nodes)
 from .specfun import (F_family, F_remainders, REM_SWITCH, _REM_MP_FROM,
                       _alpha_of)
 from .dist import iminus_laplace, iminus_moment
 
 _TIGHT = REL_TOL * 0.1   # convolutions, a notch tighter
+
+
+def _at(h, v):
+    """The scalar function h at each entry of the array v."""
+    return np.fromiter(map(h, v), float, v.size)
 
 
 def _rem(alpha, x, which):
@@ -133,8 +147,9 @@ def uhat1_resolvent_function(f, alpha):
     def conv(h, x):
         if x <= 0.0:
             return 0.0
-        val, _ = adaptive_quad(lambda u: F_family(alpha, u, 1) * h(x - u),
-                               0.0, x, _TIGHT)
+        # u and x - u are each a node's distance from one end of [0, x]
+        val, _ = tanh_sinh(lambda u, v: F_family(alpha, u, 1) * _at(h, v),
+                           0.0, x, _TIGHT)
         return val
 
     g = lambda x: lf * F_family(alpha, x, 0) - conv(f.eval_f, x)
@@ -151,7 +166,13 @@ def uhat1_resolvent_function(f, alpha):
 
 def u1_resolvent_function(f, alpha):
     """U_1 f for superexponentially decaying f, in the form
-    h(x) = e^{-x} M_f - int_0^inf F'(u) f(x+u) du with M_f = int F'' f."""
+    h(x) = e^{-x} M_f - int_0^inf F'(u) f(x+u) du with M_f = int F'' f.
+
+    Both integrals stop at u = 50.  The integrands of M_f and of each
+    convolution are probed there, and a value beyond the quadratures'
+    tolerance budget raises EvaluationError: f then does not crush F's
+    e^u growth, and the truncated integrals would be garbage.
+    """
     alpha = _alpha_of(alpha)
     p = 1.0 / (alpha - 1.0)
     # M_f with the y^{alpha-2} singular panel substituted away
@@ -162,10 +183,17 @@ def u1_resolvent_function(f, alpha):
     mt, _ = adaptive_quad(lambda y: F_family(alpha, y, 2) * f.eval_f(y),
                           1.0, cut)
     mf = mh + mt
+    _check_cut(F_family(alpha, cut, 2) * f.eval_f(cut), mf, REL_TOL, cut)
+    # F' at the nodes of [0, cut], level by level: the same for every x
+    fp_nodes = tuple(F_family(alpha, u, 1)
+                     for u, _ in tanh_sinh_nodes(0.0, cut))
+    fp_cut = F_family(alpha, cut, 1)
 
     def cross(h, x):
-        val, _ = adaptive_quad(lambda u: F_family(alpha, u, 1) * h(x + u),
-                               0.0, cut, _TIGHT)
+        levels = iter(fp_nodes)
+        val, _ = tanh_sinh(lambda u, _: next(levels) * _at(h, x + u),
+                           0.0, cut, _TIGHT)
+        _check_cut(fp_cut * h(x + cut), val, _TIGHT, cut)
         return val
 
     h = lambda x: math.exp(-x) * mf - cross(f.eval_f, x)
@@ -173,6 +201,16 @@ def u1_resolvent_function(f, alpha):
     h2 = lambda x: math.exp(-x) * mf - cross(f.eval_f2, x)
     return SmoothTestFunction(h, h1, h2, decay_gamma=6.0,
                               fprime0_is_zero=False, name="u1_resolvent")
+
+
+def _check_cut(probe, val, tol, cut):
+    """Raise unless the integrand value probe at the cut is within the
+    tolerance budget of the integral val truncated there."""
+    if not abs(probe) <= max(tol / 1e4, tol * abs(val)):
+        raise EvaluationError(
+            "integrand %.3g at the cut u = %g is outside the tolerance "
+            "budget: f decays too slowly for U_1 f" % (probe, cut),
+            partial=val, bound=abs(probe))
 
 
 def rep_pointwise(alpha, y):

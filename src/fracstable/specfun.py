@@ -19,10 +19,17 @@ Branch layout for the exponential-scale family F_alpha:
 
   for d = 0, 1, 2 (Gorenflo, Loutchko & Luchko, Fract. Calc. Appl. Anal. 5
   (2002)); the integrand is positive, so nothing cancels.
+
+F_family also takes an ndarray of x > 0, the node arrays of the vectorized
+quadrature rule.  It sums the same positive series there as one log-space
+matrix, on every x up to the float overflow of F, so it has no branches.
 """
 
 import math
 from dataclasses import dataclass
+
+import numpy as np
+from scipy.special import gammaln
 
 from .errors import DomainError, EvaluationError, RootNotFoundError
 from .gammafn import cospi, gamma, rgamma, sinpi
@@ -255,9 +262,49 @@ def F_remainders(alpha, x, which):
     return acc
 
 
+# F, F' and F'' all exceed e^x/alpha > DBL_MAX from here on, for alpha < 2
+_F_OVERFLOW = 711.0
+
+
+def _F_array(alpha, x, deriv):
+    """F^(deriv) at an ndarray of x > 0: the terms
+    ff_n x^(alpha n - deriv) / Gamma(alpha n + 1), ff_n the falling factorial
+    (alpha n)(alpha n - 1)... of length deriv, as one matrix of logarithms
+    with a row per x, summed after taking out each row's largest term.  The
+    terms peak near alpha n = x and are negligible past alpha n = 40 + 3x.
+    """
+    if deriv not in (0, 1, 2):
+        raise DomainError("deriv must be 0, 1 or 2")
+    xs = x.ravel()
+    if not np.all(xs > 0.0):
+        raise DomainError("F_family requires x > 0 at every array entry")
+    top = xs.max(initial=0.0)
+    if top > _F_OVERFLOW:
+        raise EvaluationError("F^(%d)(%.6g) is beyond float range"
+                              % (deriv, top))
+    e = alpha * np.arange(1 if deriv else 0, (40.0 + 3.0 * top) / alpha + 1)
+    ff = (np.ones_like(e), e, e * (e - 1.0))[deriv]
+    # one matrix, updated in place
+    logs = np.outer(np.log(xs), e - deriv)
+    logs += np.log(ff) - gammaln(e + 1.0)
+    peak = logs.max(axis=1)
+    logs -= peak[:, None]
+    with np.errstate(over="ignore"):
+        out = np.exp(peak) * np.exp(logs, out=logs).sum(axis=1)
+    if not np.all(np.isfinite(out)):
+        raise EvaluationError("F^(%d) overflows float range below x = %.6g"
+                              % (deriv, top))
+    return out.reshape(x.shape)
+
+
 def F_family(alpha, x, deriv=0):
-    """F_alpha(x) = E_alpha(x^alpha) and its first two derivatives."""
+    """F_alpha(x) = E_alpha(x^alpha) and its first two derivatives.
+
+    x is a float x >= 0, or an ndarray of x > 0 (see _F_array).
+    """
     alpha = _alpha_of(alpha)
+    if isinstance(x, np.ndarray):
+        return _F_array(alpha, x, deriv)
     if not x >= 0.0:
         raise DomainError("F_family requires x >= 0")
     if deriv not in (0, 1, 2):

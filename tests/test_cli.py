@@ -237,6 +237,20 @@ def test_overflow_and_infinity_exit_one(argv, capsys):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+@pytest.mark.parametrize("function,alpha", [("x2exp", "1.5"),
+                                             ("cauchy2", "1.8"),
+                                             ("cauchy2", "1.5")])
+def test_verify_resolvent_exits_one_where_the_u1_cut_is_not_negligible(
+        function, alpha, capsys):
+    # U_1 f stops its integrals at u = 50, which needs f to crush F's e^u
+    # growth; the first two printed residuals 1.7e4 and 1.2e19 with exit 2
+    code, out = run_cli("verify", "resolvent", "--function", function,
+                        "--alpha", alpha)
+    assert code == 1 and out == ""
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "cut u = 50" in err
+
+
 def test_limit_values_at_infinity_stay():
     assert parse_csv(run_cli("ml", "--alpha", "1.5", "--x", "inf")[1])[1] \
         == [[math.inf, math.inf]]

@@ -4,12 +4,12 @@ import pytest
 
 from fracstable.dist import (_valpha_density, iminus_laplace, iminus_pdf,
                              iminus_tail_integral, kernel_apply)
-from fracstable.errors import DomainError
+from fracstable.errors import DomainError, EvaluationError
 from fracstable.quadrature import adaptive_quad
 from fracstable.resolvent import (lambda_f, rep_pointwise, u1_apply,
                                   u1_density, u1_mass, uhat1_apply,
-                                  uhat1_density, uhat1_mass,
-                                  uhat1_resolvent_function)
+                                  u1_resolvent_function, uhat1_density,
+                                  uhat1_mass, uhat1_resolvent_function)
 from fracstable.specfun import F_family, F_remainders, mittag_leffler
 from fracstable.testfuncs import REGISTRY
 
@@ -104,13 +104,25 @@ def test_lambda_f_exponential():
     assert lambda_f(lambda y: math.exp(-y)) == pytest.approx(0.5, rel=1e-10)
 
 
-def test_uhat1_apply_matches_resolvent_function():
-    g = uhat1_resolvent_function(GAUSS, 1.5)
-    for x in (0.4, 1.0, 2.5):
-        assert uhat1_apply(GAUSS, 1.5, x) == pytest.approx(g.eval_f(x),
-                                                           rel=1e-7)
-    # boundary condition g'(0) = 0 holds exactly by construction
-    assert g.eval_f1(0.0) == 0.0
+def test_apply_matches_resolvent_functions():
+    # the convolutions of Uhat_1 f and U_1 f against the density route
+    for a in (1.2, 1.5, 1.8):
+        g = uhat1_resolvent_function(GAUSS, a)
+        h = u1_resolvent_function(GAUSS, a)
+        for x in (0.4, 1.0, 2.5):
+            assert uhat1_apply(GAUSS, a, x) == pytest.approx(g.eval_f(x),
+                                                             rel=1e-7)
+            assert u1_apply(GAUSS, a, x) == pytest.approx(h.eval_f(x),
+                                                          rel=1e-7)
+        # boundary condition g'(0) = 0 holds exactly by construction
+        assert g.eval_f1(0.0) == 0.0
+
+
+def test_u1_resolvent_function_raises_where_its_cut_is_not_negligible():
+    # x2exp decays like e^-x, so F'' f at the cut u = 50 is about 1.7e3
+    with pytest.raises(EvaluationError, match="cut u = 50") as exc:
+        u1_resolvent_function(REGISTRY["x2exp"], 1.5)
+    assert exc.value.bound > 1e3 and math.isfinite(exc.value.partial)
 
 
 def test_u1_apply_runs_and_is_positive():

@@ -1,8 +1,9 @@
 import math
 
+import numpy as np
 import pytest
 
-from fracstable.errors import DomainError, RootNotFoundError
+from fracstable.errors import DomainError, EvaluationError, RootNotFoundError
 from fracstable.specfun import (F_family, F_remainders, GeneralIndex,
                                 _rem_integral, _rem_series_mp, ml_jet,
                                 mittag_leffler, psi, psi_general,
@@ -148,6 +149,38 @@ def test_f_family_matches_ml_jet_across_switches():
             for d in (0, 1, 2):
                 assert F_family(a, x, d) == pytest.approx(float(jet[d]),
                                                           rel=1e-11)
+
+
+def test_f_family_array_matches_scalar_and_ml_jet():
+    # the array form sums the series as one log-space matrix on every x;
+    # the grid crosses the scalar branch switches x = 3, 25 and 30
+    import mpmath as mp
+
+    grid = (1e-3, 0.1, 0.7, 2.0, 2.99, 3.01, 9.1, 15.0, 24.99, 25.01,
+            29.9, 30.1, 40.0, 50.0)
+    for a in (1.05, 1.2, 1.5, 1.8, 1.95):
+        vals = [F_family(a, np.array(grid), d) for d in (0, 1, 2)]
+        for i, x in enumerate(grid):
+            with mp.workdps(40 + x):
+                jet = ml_jet(a, x, 2, p=a)
+            for d in (0, 1, 2):
+                v = vals[d][i]
+                assert v == pytest.approx(float(jet[d]), rel=1e-13), (a, x, d)
+                assert v == pytest.approx(F_family(a, x, d), rel=1e-11)
+
+
+def test_f_family_array_domain_and_overflow():
+    for bad in ([1.0, math.nan], [2.0, -1.0], [0.0]):
+        with pytest.raises(DomainError):
+            F_family(1.5, np.array(bad), 1)
+    with pytest.raises(DomainError):
+        F_family(1.5, np.array([1.0]), 3)
+    # 710.5 overflows in the sum, the rest before any matrix is built
+    for x in (710.5, 800.0, 1e300, math.inf):
+        for d in (0, 1, 2):
+            with pytest.raises(EvaluationError, match="float range"):
+                F_family(1.5, np.array([1.0, x]), d)
+    assert np.isfinite(F_family(1.5, np.array([709.0]), 2)).all()
 
 
 def test_f_remainders_against_oracle():
