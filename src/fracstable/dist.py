@@ -15,7 +15,7 @@ from scipy.interpolate import PchipInterpolator
 
 from .errors import DomainError, EvaluationError, SamplerError
 from .gammafn import gamma, rgamma, sinpi, cospi
-from .quadrature import REL_TOL, TAIL_CUTOFF, adaptive_quad
+from .quadrature import REL_TOL, TAIL_CUTOFF, adaptive_quad, tanh_sinh
 from .specfun import _alpha_of
 
 _BLOCK = 1 << 16          # sub-stream block length for parallel-safe sampling
@@ -463,9 +463,19 @@ def valpha_sample(alpha, n, seed):
 
 # ---------------------------------------------------------------------------
 # the multiplicative kernel V_alpha f(x) = E[f(x V_alpha)]
+#
+# Both kernel integrals run on the tanh-sinh rule, one array of nodes per
+# level.  The t < 1 part of the density is taken under t = s^{1/(alpha-1)},
+# which leaves a bounded integrand.  The t > 1 part is split where the
+# physical argument x t crosses 1: the kernel's transition and f's own
+# scale then each sit at an end of a panel, however far apart they are.
 
 def kernel_apply(f, alpha, x, tol=REL_TOL):
-    """E[f(x V_alpha)] by singularity-adapted quadrature."""
+    """E[f(x V_alpha)] by singularity-adapted quadrature.
+
+    f (or f.eval_f) is called once per level of the rule, on an array of
+    arguments, and must return an array of that shape (or a scalar).
+    """
     alpha = _alpha_of(alpha)
     if not x >= 0.0:
         raise DomainError("kernel_apply requires x >= 0")
@@ -474,52 +484,64 @@ def kernel_apply(f, alpha, x, tol=REL_TOL):
         return fv(0.0)
     p = 1.0 / (alpha - 1.0)
     smooth = _valpha_smooth(alpha)
-    pdf = _valpha_density(alpha)
-
-    below, _ = adaptive_quad(
-        lambda s: fv(x * s ** p) * smooth(s ** p), 0.0, 1.0, tol)
-    below *= p
-    above, _ = adaptive_quad(
-        lambda r: fv(x / r) * pdf(1.0 / r) / (r * r),
-        0.0, 1.0, tol, points=[x] if 0.0 < x < 1.0 else None)
-    return below + above
+    tail = _valpha_far(alpha, 2)
+    val, _ = tanh_sinh(lambda s, _: fv(x * s ** p) * smooth(s ** p),
+                       0.0, 1.0, tol)
+    val *= p
+    # t = 1/r on r in [0, 1], split at r = x (x t = 1) for x < 1
+    for r0, r1 in ((0.0, x), (x, 1.0)) if x < 1.0 else ((0.0, 1.0),):
+        part, _ = tanh_sinh(
+            lambda d, _: fv(x / (r0 + d)) * tail(1.0 / (r0 + d)), r0, r1, tol)
+        val += part
+    return val
 
 
 def kernel_apply_d2(f, alpha, x):
     """(V_alpha f)''(x) = E[V_alpha^2 f''(x V_alpha)] for f in the domain D.
 
-    Defined for finite x > 0 only: at x = 0 it would be E[V_alpha^2] f''(0),
-    which diverges, because V_alpha has moments only of order s < alpha < 2.
-    As x -> 0 it grows like x^{alpha-2}, finite while TAIL_CUTOFF / x is.
+    x is a float or an array of them, and the value has its shape; f.eval_f2
+    is called once per level of the rule on a matrix with one row per
+    entry of x.  Defined for finite x > 0 only: at x = 0 it would be
+    E[V_alpha^2] f''(0), which diverges, because V_alpha has moments only
+    of order s < alpha < 2.  As x -> 0 it grows like x^{alpha-2}, finite
+    while TAIL_CUTOFF / x is.
     """
     alpha = _alpha_of(alpha)
     T = TAIL_CUTOFF
-    if not (0.0 < x < math.inf and T / x < math.inf):
-        raise DomainError("kernel_apply_d2 requires finite x > 0, with "
-                          "TAIL_CUTOFF / x in float range")
+    xs = np.asarray(x, dtype=float)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        if not np.all((0.0 < xs) & (xs < math.inf) & (T / xs < math.inf)):
+            raise DomainError("kernel_apply_d2 requires finite x > 0, with "
+                              "TAIL_CUTOFF / x in float range")
+    col = xs.reshape(-1, 1)
+    n = col.shape[0]
     p = 1.0 / (alpha - 1.0)
     smooth = _valpha_smooth(alpha)
-    pdf = _valpha_density(alpha)
 
-    below, _ = adaptive_quad(
-        lambda s: s ** (2.0 * p) * f.eval_f2(x * s ** p) * smooth(s ** p),
-        0.0, 1.0)
-    below *= p
-    # t > 1 panel in log of the physical argument u = x t, so both the
-    # kernel transition (u ~ x) and the decay scale of f'' are resolved by
-    # a few e-foldings each, whatever the ratio of the two scales
-    def above_log(m):
-        u = math.exp(m)
-        return pdf(u / x) * (u / x) ** 2 * f.eval_f2(u) * u / x
+    def below(s, _):
+        t = s[0] ** p   # every row runs over the same [0, 1]
+        return f.eval_f2(col * t) * (t * t * smooth(t))
 
-    if T / x > _FAR ** (1.0 / alpha):
-        # pdf overflows in t^{2 alpha} there: take t^3 v_alpha(t) whole
-        far = _valpha_far(alpha, 3)
-        above_log = lambda m: far(math.exp(m) / x) * f.eval_f2(math.exp(m))
+    lo, _ = tanh_sinh(below, np.zeros(n), np.ones(n), REL_TOL)
+    # t > 1 in log of the physical argument u = x t, up to u = T, with
+    # t^3 v_alpha(t) in its far form (finite wherever t is); rows with
+    # x < 1 get a panel up to u = 1 and one beyond
+    far = _valpha_far(alpha, 3)
 
-    above, _ = adaptive_quad(above_log, math.log(x), math.log(T),
-                             points=[0.0] if x < 1.0 else None)
-    return below + above
+    def log_panel(m0, m1, lx):
+        # log u from m0 to m1 for the rows with log x = lx
+        vals, _ = tanh_sinh(
+            lambda dm, _: far(np.exp((m0 - lx)[:, None] + dm))
+            * f.eval_f2(np.exp(m0[:, None] + dm)), m0, m1, REL_TOL)
+        return vals
+
+    lx = np.log(col[:, 0])
+    small = lx < 0.0
+    out = p * lo + log_panel(np.maximum(lx, 0.0), np.full(n, math.log(T)),
+                             lx)
+    if small.any():
+        out[small] += log_panel(lx[small], np.zeros(small.sum()), lx[small])
+    return float(out[0]) if xs.ndim == 0 else out.reshape(xs.shape)
 
 
 def valpha_moment_quad(alpha, s):

@@ -1,30 +1,42 @@
 """Riemann-Liouville / Caputo fractional derivatives and reflected generators.
 
 All left-sided operators route through the Caputo integral plus exact
-boundary corrections; the (x-u)^{1-alpha} endpoint singularity is removed
-analytically by the substitution u = x(1 - s^{1/(2-alpha)}).
+boundary corrections.  Its two panels run on the tanh-sinh rule: [0, x/2]
+under u = (x/2) w^{1/(alpha-1)}, which takes an integrand growing like
+u^{alpha-2} (the kernel-composed (V_alpha f)'') to a bounded one, and
+[x/2, x] under x - u = (x/2) s^{1/(2-alpha)}, which removes the
+(x-u)^{1-alpha} endpoint singularity without forming x - u by subtraction.
+The right-sided core integrates for a whole array of start points at once.
 """
 
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
+import numpy as np
+
 from .errors import DomainError, EvaluationError
 from .gammafn import gamma
-from .quadrature import REL_TOL, TAIL_CUTOFF, adaptive_quad
+from .quadrature import REL_TOL, TAIL_CUTOFF, adaptive_quad, tanh_sinh
 from .specfun import GeneralIndex, _alpha_of
 
 _DECAY_PROBES = (1e2, 1e3, 1e4)
 _SMOKE_GRID = (0.3, 0.7, 1.5, 3.0)
-_SINGULAR_SPLIT = 0.1   # share of [0, x] in _caputo_core's panel at u = 0
-# from x = 2^53 on, the float s nearest 1 maps to u = x(1 - s^p) >= 1, so
-# no quadrature node of _caputo_core lands in u in (0, 1)
-_X_UNRESOLVED = 2.0 ** 53
+# nodes of _caputo_core's u = 0 panel below this u (down to 0, near alpha
+# = 1) are evaluated at it, so d2 never sees u = 0 or a u whose own
+# quadrature nodes underflow.  The substituted integrand is G(0) +
+# O(u^{2-alpha}) on a w-measure of (2u/x)^{alpha-1}, so this moves the
+# panel by O(_U_MIN) relative to G.
+_U_MIN = 1e-150
 
 
 @dataclass(frozen=True)
 class SmoothTestFunction:
     """A C^2 function on [0, inf) with analytic derivatives and certified decay.
+
+    eval_f, eval_f1 and eval_f2 each take a float or an ndarray of floats
+    and return a value of the same shape: the operator cores call them
+    once per quadrature level on a whole array of nodes.
 
     decay_gamma certifies x^gamma (|f| + |f''|) -> 0; the sampled check
     requires the product to be non-increasing across the probe points and
@@ -83,17 +95,44 @@ def is_in_domain_D(f, alpha):
 
 
 def _caputo_core(d2, alpha, x, tol):
-    # (1/G(2-a)) int_0^x f''(u) (x-u)^{1-a} du via u = x(1 - s^{1/(2-a)})
-    if not x < _X_UNRESOLVED:
-        raise EvaluationError("x = %.3g is beyond the Caputo substitution: "
-                              "no quadrature node lands in 0 < u < 1" % x)
-    p = 1.0 / (2.0 - alpha)
-    pref = x ** (2.0 - alpha) / ((2.0 - alpha) * gamma(2.0 - alpha))
-    # reserve a panel near s = 1 (u near 0) for kernel-composed integrands
-    s_split = (1.0 - _SINGULAR_SPLIT) ** (2.0 - alpha)
-    val, _ = adaptive_quad(lambda s: d2(x * (1.0 - s ** p)), 0.0, 1.0,
-                           tol, points=[s_split])
-    return pref * val
+    """int_0^x d2(u) (x-u)^{1-a} du / G(2-a) with its error estimate, d2
+    called once per level on the nodes of both panels.
+
+    A panel may settle on tanh_sinh's absolute floor, which says nothing of
+    a small value's relative accuracy.  So, as for adaptive_quad, the
+    panels' level changes together must stay within 100 times the relative
+    budget, here of the panels' summed magnitudes, or EvaluationError is
+    raised: a zero of the sum does not trip this, a value lost to
+    cancellation inside a panel (large x) does.
+    """
+    q, r = 1.0 / (alpha - 1.0), 1.0 / (2.0 - alpha)
+    half = 0.5 * x
+
+    def panels(d, _):
+        # u = (x/2) w^q on [0, x/2]: the integrand q 2^{1-a} u^{2-a}
+        # (1 - u/x)^{1-a} d2(u) is bounded where d2 ~ u^{a-2}
+        ua = np.maximum(half * d[0] ** q, _U_MIN)
+        if not ua.min() < 1.0:
+            raise EvaluationError("x = %.3g is beyond the Caputo "
+                                  "substitution: no quadrature node lands "
+                                  "in 0 < u < 1" % x)
+        # x - u = (x/2) s^r on [x/2, x]: the integrand r (x/2)^{2-a} d2(u)
+        vals = d2(np.concatenate([ua, x - half * d[1] ** r]))
+        m = ua.size
+        return np.stack([
+            vals[:m] * (q * 2.0 ** (1.0 - alpha)) * ua ** (2.0 - alpha)
+            * (1.0 - ua / x) ** (1.0 - alpha),
+            vals[m:] * (r * half ** (2.0 - alpha))])
+
+    vals, errs = tanh_sinh(panels, np.zeros(2), np.ones(2), tol)
+    g = gamma(2.0 - alpha)
+    val, err = float(vals.sum()) / g, float(errs.sum()) / g
+    if not errs.sum() <= 100.0 * tol * np.abs(vals).sum():
+        raise EvaluationError(
+            "Caputo integral %.3g with level change %.3g is outside the "
+            "relative budget of its panels" % (val, err),
+            partial=val, bound=err)
+    return val, err
 
 
 def caputo(f, alpha, x, tol=REL_TOL):
@@ -101,7 +140,7 @@ def caputo(f, alpha, x, tol=REL_TOL):
     alpha = _alpha_of(alpha)
     if not x > 0.0:
         raise DomainError("caputo requires x > 0")
-    return _caputo_core(f.eval_f2, alpha, x, tol)
+    return _caputo_core(f.eval_f2, alpha, x, tol)[0]
 
 
 def delta_plus(f, alpha, x, tol=REL_TOL):
@@ -121,49 +160,74 @@ def rl_left_alpha(f, alpha, x):
 
 
 def rl_left_alpha_minus1(g, alpha, x):
-    """Left RL derivative of order alpha-1 in (0,1), for absolutely continuous g."""
+    """Left RL derivative of order alpha-1 in (0,1), for absolutely continuous g.
+
+    The Caputo integral and the g(0) term cancel as x grows (to one part in
+    x for g(0) != 0); EvaluationError is raised once the integral's error
+    estimate exceeds 100 times the relative budget of their sum.
+    """
     alpha = _alpha_of(alpha)
     if not x > 0.0:
         raise DomainError("rl_left_alpha_minus1 requires x > 0")
-    val = _caputo_core(g.eval_f1, alpha, x, REL_TOL)
-    return val + g.eval_f(0.0) * x ** (1.0 - alpha) / gamma(2.0 - alpha)
+    val, err = _caputo_core(g.eval_f1, alpha, x, REL_TOL)
+    val += g.eval_f(0.0) * x ** (1.0 - alpha) / gamma(2.0 - alpha)
+    if not err <= 100.0 * REL_TOL * abs(val):
+        raise EvaluationError(
+            "order alpha-1 derivative %.3g with error estimate %.3g is "
+            "outside the tolerance budget" % (val, err),
+            partial=val, bound=err)
+    return val
 
 
 def _right_core(dfun, kappa, gam, x, tol):
     """int_0^inf u^{-kappa} dfun(x+u) du for kappa in (0,1), plus tail bound.
 
-    gam is the certified decay exponent of dfun; the tail beyond
-    T = TAIL_CUTOFF is bounded by sup y^gam |dfun(y)| *
+    x is a float or an array of start points, and the value has its shape.
+    The integral is split at u = 1: below under u = s^{1/(1-kappa)}, above
+    in log u up to T = TAIL_CUTOFF, both on the tanh-sinh rule with one
+    row per start point.  gam is the certified decay exponent of dfun; the
+    tail beyond T is bounded, per start point, by sup y^gam |dfun(y)| *
     T^{1-kappa-gam}/(gam-(1-kappa)), which must stay within 1e3 times the
     accuracy asked of the quadratures.
     """
     if gam <= 1.0 - kappa:
         raise DomainError("decay exponent too small for the improper tail")
     T = TAIL_CUTOFF
+    xs = np.asarray(x, dtype=float)
+    col = xs.reshape(-1, 1)
+    n = col.shape[0]
     p = 1.0 / (1.0 - kappa)
-    near, _ = adaptive_quad(lambda s: dfun(x + s ** p), 0.0, 1.0, tol)
-    near *= 1.0 / (1.0 - kappa)
-    far, _ = adaptive_quad(lambda u: u ** (-kappa) * dfun(x + u), 1.0, T, tol)
+
+    # every row has the same nodes, those of its first
+    near, _ = tanh_sinh(lambda s, _: p * dfun(col + s[0] ** p),
+                        np.zeros(n), np.ones(n), tol)
+    far, _ = tanh_sinh(
+        lambda m, _: np.exp((1.0 - kappa) * m[0]) * dfun(col + np.exp(m[0])),
+        np.zeros(n), np.full(n, math.log(T)), tol)
     val = near + far
-    try:
-        m = max(abs((x + T) ** gam * dfun(x + T)),
-                abs((2.0 * (x + T)) ** gam * dfun(2.0 * (x + T))),
-                abs((5.0 * (x + T)) ** gam * dfun(5.0 * (x + T))))
-    except OverflowError:
-        raise EvaluationError("improper-tail probe overflows at x = %.3g" % x,
-                              partial=val, bound=math.inf) from None
-    tail_bound = m * T ** (1.0 - kappa - gam) / (gam - (1.0 - kappa))
-    if not tail_bound <= 1e3 * max(tol / 1e4, tol * abs(val)):
+    with np.errstate(over="ignore", invalid="ignore"):
+        sup = np.max([np.abs((k * (col + T)) ** gam * dfun(k * (col + T)))
+                      for k in (1.0, 2.0, 5.0)], axis=0)[:, 0]
+    tail_bound = sup * T ** (1.0 - kappa - gam) / (gam - (1.0 - kappa))
+    over = ~(tail_bound <= 1e3 * np.maximum(tol / 1e4, tol * np.abs(val)))
+    if over.any():
+        i = np.argmax(over)
+        if not np.isfinite(sup[i]):
+            raise EvaluationError("improper-tail probe overflows at x = %.3g"
+                                  % col[i, 0], partial=float(val[i]),
+                                  bound=math.inf)
         raise EvaluationError("improper-tail bound %.3g exceeds tolerance "
-                              "budget" % tail_bound,
-                              partial=val, bound=tail_bound)
-    return val
+                              "budget" % tail_bound[i], partial=float(val[i]),
+                              bound=float(tail_bound[i]))
+    return float(val[0]) if xs.ndim == 0 else val.reshape(xs.shape)
 
 
 def rl_right(f, alpha, x, tol=REL_TOL):
-    """Right RL derivative (1/G(2-a)) int_0^inf u^{1-a} f''(x+u) du, x >= 0."""
+    """Right RL derivative (1/G(2-a)) int_0^inf u^{1-a} f''(x+u) du, x >= 0.
+
+    x is a float or an array of them, and the value has its shape."""
     alpha = _alpha_of(alpha)
-    if not x >= 0.0:
+    if not np.all(np.asarray(x) >= 0.0):
         raise DomainError("rl_right requires x >= 0")
     core = _right_core(f.eval_f2, alpha - 1.0, f.decay_gamma, x, tol)
     return core / gamma(2.0 - alpha)

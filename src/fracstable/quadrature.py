@@ -1,11 +1,13 @@
 """The two quadrature rules under every certificate.
 
-adaptive_quad, scipy's adaptive Gauss-Kronrod, serves every integral but
-the resolvent convolutions: one relative tolerance sets each integral
-(nested layers scale REL_TOL), and improper integrals stop at TAIL_CUTOFF,
-their callers bounding the rest.  tanh_sinh, a fixed nested rule over node
-arrays, serves the resolvent convolutions, whose integrands take a whole
-level of nodes at a time.
+One relative tolerance sets each integral (nested layers scale REL_TOL),
+and improper integrals stop at TAIL_CUTOFF, their callers bounding the
+rest.  tanh_sinh, a fixed nested rule over node arrays, serves the kernel
+V_alpha, the fractional-operator cores and the resolvent convolutions:
+their integrands take a whole level of nodes at a time, and with arrays
+of endpoints a whole family of integrals at once, one matrix per level.
+adaptive_quad, scipy's adaptive Gauss-Kronrod, serves the rest: moments,
+the V_alpha tables, the resolvent masses and the remainder integrals.
 """
 
 import math
@@ -72,9 +74,11 @@ _TS_LEVELS = _tanh_sinh_levels()
 
 def tanh_sinh_nodes(a, b):
     """Yield each level's new nodes of tanh_sinh on [a, b], coarsest first,
-    as (distance from a, distance from b) array pairs."""
+    as (distance from a, distance from b) array pairs.  For arrays a and b
+    of one shape, each array of the pair has one row of nodes per entry."""
+    d = np.subtract(b, a)
     for _, pa, pb, _ in _TS_LEVELS:
-        yield pa * (b - a), pb * (b - a)
+        yield np.multiply.outer(d, pa), np.multiply.outer(d, pb)
 
 
 def tanh_sinh(fun, a, b, tol):
@@ -90,9 +94,18 @@ def tanh_sinh(fun, a, b, tol):
     relative tol with absolute floor tol / 1e4; past the last level the
     rule raises EvaluationError with the value as partial and the estimate
     as bound.
+
+    With arrays a and b of one shape, the rule integrates one row per
+    entry, all rows on the same levels: fun gets (rows x nodes) distance
+    matrices and returns a matrix of that shape, the rule returns arrays
+    of values and estimates, and the levels stop once every row is within
+    its budget.  Past the last level the worst row is the one raised.
     """
     if not tol > 0.0:
         raise DomainError("quadrature tolerance must be positive")
+    if np.ndim(a) or np.ndim(b):
+        return _tanh_sinh_rows(fun, np.asarray(a, dtype=float),
+                               np.asarray(b, dtype=float), tol)
     floor = tol / 1e4
     total = 0.0
     val = err = math.nan
@@ -107,3 +120,30 @@ def tanh_sinh(fun, a, b, tol):
     raise EvaluationError(
         "tanh-sinh value %.3g with level change %.3g is outside the "
         "tolerance budget" % (val, err), partial=val, bound=err)
+
+
+def _tanh_sinh_rows(fun, a, b, tol):
+    """tanh_sinh over arrays a and b: one integral per entry."""
+    floor = tol / 1e4
+    width = b - a
+    total = np.zeros(width.shape)
+    val = err = np.full(width.shape, math.nan)
+    for (h, _, _, w), (da, db) in zip(_TS_LEVELS, tanh_sinh_nodes(a, b)):
+        # a non-finite value raises below, so numpy's warning is noise
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            total += fun(da, db) @ w
+        prev, val = val, width * h * total
+        err = np.abs(val - prev)
+        if not np.all(np.isfinite(val)):
+            break
+        if np.all(err <= np.maximum(floor, tol * np.abs(val))):
+            return val, err
+    # the worst row: a non-finite one, else the one furthest over budget
+    with np.errstate(invalid="ignore"):
+        over = np.where(np.isfinite(val),
+                        err / np.maximum(floor, tol * np.abs(val)), np.inf)
+    i = np.unravel_index(np.argmax(over), over.shape)
+    raise EvaluationError(
+        "tanh-sinh value %.3g with level change %.3g is outside the "
+        "tolerance budget" % (val[i], err[i]),
+        partial=float(val[i]), bound=float(err[i]))

@@ -34,7 +34,13 @@ _TIGHT = REL_TOL * 0.1   # convolutions, a notch tighter
 
 def _at(h, v):
     """The scalar function h at each entry of the array v."""
-    return np.fromiter(map(h, v), float, v.size)
+    return np.fromiter(map(h, v.ravel()), float, v.size).reshape(v.shape)
+
+
+def _mapped(h):
+    """The scalar function h extended entry by entry to ndarrays, as the
+    SmoothTestFunction callables must be."""
+    return lambda x: _at(h, x) if isinstance(x, np.ndarray) else h(x)
 
 
 def _rem(alpha, x, which):
@@ -160,7 +166,7 @@ def uhat1_resolvent_function(f, alpha):
                     - F_family(alpha, x, 2) * f.eval_f(0.0)
                     - F_family(alpha, x, 1) * f.eval_f1(0.0)
                     - conv(f.eval_f2, x))
-    return SmoothTestFunction(g, g1, g2, decay_gamma=0.0,
+    return SmoothTestFunction(*map(_mapped, (g, g1, g2)), decay_gamma=0.0,
                               fprime0_is_zero=True, name="uhat1_resolvent")
 
 
@@ -199,7 +205,7 @@ def u1_resolvent_function(f, alpha):
     h = lambda x: math.exp(-x) * mf - cross(f.eval_f, x)
     h1 = lambda x: -math.exp(-x) * mf - cross(f.eval_f1, x)
     h2 = lambda x: math.exp(-x) * mf - cross(f.eval_f2, x)
-    return SmoothTestFunction(h, h1, h2, decay_gamma=6.0,
+    return SmoothTestFunction(*map(_mapped, (h, h1, h2)), decay_gamma=6.0,
                               fprime0_is_zero=False, name="u1_resolvent")
 
 

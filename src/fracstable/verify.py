@@ -65,7 +65,11 @@ def _finish(name, alpha, params, residuals, tolerance, t0, seed=None):
 # ---------------------------------------------------------------------------
 
 def check_intertwining(f, alpha, x_grid):
-    """Residuals of  Delta^a_+ V_a f  =  V_a D^a_- f  on the grid."""
+    """Residuals of  Delta^a_+ V_a f  =  V_a D^a_- f  on the grid.
+
+    Each side is a few matrix products per quadrature level: the left side
+    evaluates (V_a f)'' at every node of the Caputo panels at once, the
+    right side D^a_- f at every node of the kernel's panels at once."""
     t0 = time.perf_counter()
     tolerance, abs_floor = 1e-3, 1e-6
     alpha = _alpha_of(alpha)
@@ -76,7 +80,7 @@ def check_intertwining(f, alpha, x_grid):
                           % ", ".join(failed))
     outer = REL_TOL * 10.0
     vf = SmoothTestFunction(
-        eval_f=lambda x: kernel_apply(f, alpha, x),
+        eval_f=lambda x: kernel_apply(f, alpha, x),   # floats; unused
         eval_f1=lambda x: 0.0,          # unused: (V_a f)'(0) = 0 for f in D
         eval_f2=lambda x: kernel_apply_d2(f, alpha, x),
         decay_gamma=f.decay_gamma, fprime0_is_zero=True)

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from fracstable.dist import (_valpha_density, _valpha_table_at, c_alpha,
+from fracstable.dist import (_FAR, _valpha_density, _valpha_far,
+                             _valpha_smooth, _valpha_table_at, c_alpha,
                              iminus_laplace, iminus_moment, iminus_pdf,
                              iminus_tail_integral,
                              kernel_apply, kernel_apply_d2, mom_V, mom_X,
@@ -422,6 +423,49 @@ def test_kernel_apply_d2_tiny_x_follows_its_power_law():
         v = kernel_apply_d2(GAUSS, 1.5, x)
         assert math.isfinite(v)
         assert v * math.sqrt(x) == pytest.approx(lead, rel=1e-10)
+
+
+def _kernel_apply_d2_quad(f, alpha, x, tol):
+    """(V_alpha f)''(x) by scalar QUADPACK calls, a second route: the t < 1
+    panel under t = s^p, the t > 1 panel in log of u = x t with u = 1 as
+    a breakpoint, both as kernel_apply_d2 computed them (at tol 1e-8)
+    before it ran on the tanh-sinh rule."""
+    p = 1.0 / (alpha - 1.0)
+    smooth = _valpha_smooth(alpha)
+    pdf = _valpha_density(alpha)
+    below, _ = adaptive_quad(
+        lambda s: s ** (2.0 * p) * f.eval_f2(x * s ** p) * smooth(s ** p),
+        0.0, 1.0, tol)
+
+    def above_log(m):
+        u = math.exp(m)
+        return pdf(u / x) * (u / x) ** 2 * f.eval_f2(u) * u / x
+
+    if TAIL_CUTOFF / x > _FAR ** (1.0 / alpha):
+        far = _valpha_far(alpha, 3)
+        above_log = lambda m: far(math.exp(m) / x) * f.eval_f2(math.exp(m))
+    above, _ = adaptive_quad(above_log, math.log(x), math.log(TAIL_CUTOFF),
+                             tol, points=[0.0] if x < 1.0 else None)
+    return p * below + above
+
+
+def test_kernel_apply_d2_matches_quadpack_route():
+    # u from 1e-200 to TAIL_CUTOFF, across the split at u = 1, in one array
+    # call per alpha; without the split, rows with u below ~1e-10 never
+    # settled on the rule
+    u = np.concatenate([10.0 ** np.arange(-200.0, 0.0, 12.5),
+                        [1e-9, 0.37, 1.0 - 1e-9, 1.0, 1.0 + 1e-9, 2.9, 30.0,
+                         TAIL_CUTOFF]])
+    for name in ("gauss", "cauchy2", "x2exp"):
+        f = REGISTRY[name]
+        for a in ALPHAS:
+            got = kernel_apply_d2(f, a, u)
+            assert got.shape == u.shape
+            for x, v in zip(u, got):
+                # at 1e-8 the route itself was off by 2e-8 at x2exp, 1.8,
+                # u = 1e3, where the rule agrees with mpmath to 16 digits
+                ref = _kernel_apply_d2_quad(f, a, x, 1e-10)
+                assert v == pytest.approx(ref, rel=1e-8, abs=0.0), (name, a, x)
 
 
 def test_kernel_apply_constant_function():

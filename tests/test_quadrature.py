@@ -103,3 +103,46 @@ def test_tanh_sinh_raises_where_levels_never_settle():
     for tol in (0.0, math.nan):
         with pytest.raises(DomainError, match="tolerance"):
             tanh_sinh(lambda u, _: u, 0.0, 1.0, tol)
+
+
+def test_tanh_sinh_rows_integrate_one_family_member_each():
+    # arrays a and b: one integral per entry, each as the scalar rule finds
+    # it (rows may run more levels, settling closer to the closed form)
+    from scipy.special import beta
+
+    p = np.array([[1.05, 1.5], [1.95, 0.5]])
+    a = np.array([[0.0, 2.0], [0.0, -1.0]])
+    b = np.array([[1.0, 5.0], [1e-3, 3.0]])
+    calls = []
+
+    def fun(da, db):
+        calls.append(da.shape)
+        return da ** (p[..., None] - 1.0) * db ** -0.3
+
+    val, err = tanh_sinh(fun, a, b, 1e-10)
+    assert val.shape == err.shape == a.shape
+    ref = (b - a) ** (p - 0.3) * beta(p, 0.7)
+    assert val == pytest.approx(ref, rel=1e-13)
+    assert np.all(err <= 1e-10 * np.abs(val))
+    # one call per level, each with every row on that level's nodes
+    assert calls[0] == (2, 2, 9) and calls[1] == (2, 2, 8)
+    for i in np.ndindex(a.shape):
+        one, _ = tanh_sinh(lambda da, db: da ** (p[i] - 1.0) * db ** -0.3,
+                           a[i], b[i], 1e-10)
+        assert val[i] == pytest.approx(one, rel=1e-12)
+
+
+def test_tanh_sinh_rows_raise_with_the_worst_row():
+    # the row that never settles is raised, whatever its neighbours do
+    a, b = np.zeros(3), np.ones(3)
+    bad = np.array([False, True, False])[:, None]
+    with pytest.raises(EvaluationError, match="tolerance budget") as exc:
+        tanh_sinh(lambda u, _: np.where(bad, np.sin(1.0 / u) / u, u),
+                  a, b, 1e-8)
+    alone = pytest.raises(EvaluationError)
+    with alone as one:
+        tanh_sinh(lambda u, _: np.sin(1.0 / u) / u, 0.0, 1.0, 1e-8)
+    assert exc.value.partial == pytest.approx(one.value.partial, rel=1e-12)
+    assert exc.value.bound == pytest.approx(one.value.bound, rel=1e-12)
+    with pytest.raises(EvaluationError, match="nan"):
+        tanh_sinh(lambda u, _: np.where(bad, math.nan, u), a, b, 1e-8)

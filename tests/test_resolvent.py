@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from fracstable.dist import (_valpha_density, iminus_laplace, iminus_pdf,
@@ -12,6 +13,7 @@ from fracstable.resolvent import (lambda_f, rep_pointwise, u1_apply,
                                   uhat1_mass, uhat1_resolvent_function)
 from fracstable.specfun import F_family, F_remainders, mittag_leffler
 from fracstable.testfuncs import REGISTRY
+from fracstable.verify import check_resolvent_generator
 
 GAUSS = REGISTRY["gauss"]
 
@@ -137,3 +139,11 @@ def test_rep_pointwise_oracle():
         assert rhs == pytest.approx(ref, rel=1e-9)
     with pytest.raises(DomainError):
         rep_pointwise(1.5, 0.0)
+
+
+def test_resolvent_generator_near_alpha_one():
+    # the Caputo integral of g'' ~ u^{alpha-2} once raised here at x = 2.07:
+    # its QUADPACK error estimate was 1.27 times the budget at the
+    # unsubstituted u = 0 end
+    rep = check_resolvent_generator(GAUSS, 1.08, np.linspace(0.2, 3.0, 4))
+    assert rep.passed and rep.tolerance == 1e-3, rep.max_abs_residual

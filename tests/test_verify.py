@@ -42,6 +42,32 @@ def test_intertwining_check_small_grid():
     _assert_schema(rep)
 
 
+def test_intertwining_at_the_workload_strata_edges():
+    # every (f, alpha) of criterion 3 at the ten edges of the benchmark's x
+    # strata on [0.1, 5.0] and on both sides of the kernel's split at x = 1
+    grid = [0.1 + k * 0.5444 for k in range(10)] + [1.0 - 1e-9, 1.0 + 1e-9]
+    for name, f in REGISTRY.items():
+        for a in (1.2, 1.5, 1.8):
+            rep = check_intertwining(f, a, grid)
+            assert rep.passed, (name, a, rep.max_abs_residual)
+
+
+@pytest.mark.parametrize("alpha", [1.03, 1.05, 1.1, 1.95, 1.98])
+def test_intertwining_near_the_ends_of_the_alpha_range(alpha):
+    rep = check_intertwining(GAUSS, alpha, [0.1, 1.0, 5.0])
+    assert rep.passed and rep.max_abs_residual <= 1e-6, rep.max_abs_residual
+
+
+def test_intertwining_at_alpha_1_02_passes_or_raises_evaluation_error():
+    # u = (x/2) w^{1/(alpha-1)} underflows at the u = 0 end of the Caputo
+    # panel; such nodes must never reach the kernel as u = 0
+    try:
+        rep = check_intertwining(GAUSS, 1.02, [0.1, 1.0, 5.0])
+    except EvaluationError:
+        return
+    assert rep.passed, rep.max_abs_residual
+
+
 def test_intertwining_rejects_function_outside_domain():
     from fracstable.fracops import SmoothTestFunction
     slow = SmoothTestFunction(
