@@ -143,20 +143,42 @@ def caputo(f, alpha, x, tol=REL_TOL):
     return _caputo_core(f.eval_f2, alpha, x, tol)[0]
 
 
-def delta_plus(f, alpha, x, tol=REL_TOL):
-    """Caputo plus the f'(0) boundary term: the reflected generator form."""
-    alpha = _alpha_of(alpha)
-    val = caputo(f, alpha, x, tol)
+def _delta_plus(f, alpha, x, tol):
+    """delta_plus and the error estimate of its Caputo integral."""
+    if not x > 0.0:
+        raise DomainError("caputo requires x > 0")
+    val, err = _caputo_core(f.eval_f2, alpha, x, tol)
     if not f.fprime0_is_zero:
         val += f.eval_f1(0.0) * x ** (1.0 - alpha) / gamma(2.0 - alpha)
+    return val, err
+
+
+def delta_plus(f, alpha, x, tol=REL_TOL):
+    """Caputo plus the f'(0) boundary term: the reflected generator form."""
+    return _delta_plus(f, _alpha_of(alpha), x, tol)[0]
+
+
+def _within_budget(val, err, what):
+    """val, unless err exceeds 100 times the relative budget of val: the
+    boundary terms cancel the Caputo integral as x grows, and the sum then
+    keeps the integral's absolute error, not its relative one."""
+    if not err <= 100.0 * REL_TOL * abs(val):
+        raise EvaluationError(
+            "%s %.3g with error estimate %.3g is outside the tolerance "
+            "budget" % (what, val, err), partial=val, bound=err)
     return val
 
 
 def rl_left_alpha(f, alpha, x):
-    """Left Riemann-Liouville derivative of order alpha (adds the f(0) term)."""
+    """Left Riemann-Liouville derivative of order alpha (adds the f(0) term).
+
+    EvaluationError is raised, as in rl_left_alpha_minus1, once the Caputo
+    integral's error estimate exceeds 100 times the relative budget of the
+    sum."""
     alpha = _alpha_of(alpha)
-    return delta_plus(f, alpha, x) \
-        + f.eval_f(0.0) * x ** (-alpha) / gamma(1.0 - alpha)
+    val, err = _delta_plus(f, alpha, x, REL_TOL)
+    val += f.eval_f(0.0) * x ** (-alpha) / gamma(1.0 - alpha)
+    return _within_budget(val, err, "order alpha derivative")
 
 
 def rl_left_alpha_minus1(g, alpha, x):
@@ -171,12 +193,7 @@ def rl_left_alpha_minus1(g, alpha, x):
         raise DomainError("rl_left_alpha_minus1 requires x > 0")
     val, err = _caputo_core(g.eval_f1, alpha, x, REL_TOL)
     val += g.eval_f(0.0) * x ** (1.0 - alpha) / gamma(2.0 - alpha)
-    if not err <= 100.0 * REL_TOL * abs(val):
-        raise EvaluationError(
-            "order alpha-1 derivative %.3g with error estimate %.3g is "
-            "outside the tolerance budget" % (val, err),
-            partial=val, bound=err)
-    return val
+    return _within_budget(val, err, "order alpha-1 derivative")
 
 
 def _right_core(dfun, kappa, gam, x, tol):

@@ -10,10 +10,13 @@ from x = 30 (REM_SWITCH) up; the quadratures here mark both switches, where
 the remainders change branch, as breakpoints.
 
 The resolvents Uhat_1 f and U_1 f as test functions are convolutions of F'
-with f.  Those run on the tanh-sinh rule over F_family's array form, one
-matrix per level of nodes; the cross term's F' values on [0, 50] are the
-same at every x, so each U_1 f computes them once.  Every other integral
-here is on adaptive_quad.
+with f, evaluated at a whole array of x at once, as the operator cores
+pass a level of nodes.  Each convolution runs on the row form of the
+tanh-sinh rule, one row of nodes per x and _ROWS rows per call, with
+F_family's array form and f taking each level's matrix of nodes whole; a
+float x is a one-entry array.  The cross term's F' values on [0, 50] are
+the same at every x, so each U_1 f computes them once.  Every other
+integral here is on adaptive_quad.
 """
 
 import math
@@ -30,17 +33,7 @@ from .specfun import (F_family, F_remainders, REM_SWITCH, _REM_MP_FROM,
 from .dist import iminus_laplace, iminus_moment
 
 _TIGHT = REL_TOL * 0.1   # convolutions, a notch tighter
-
-
-def _at(h, v):
-    """The scalar function h at each entry of the array v."""
-    return np.fromiter(map(h, v.ravel()), float, v.size).reshape(v.shape)
-
-
-def _mapped(h):
-    """The scalar function h extended entry by entry to ndarrays, as the
-    SmoothTestFunction callables must be."""
-    return lambda x: _at(h, x) if isinstance(x, np.ndarray) else h(x)
+_ROWS = 32               # x values per tanh_sinh call of a convolution
 
 
 def _rem(alpha, x, which):
@@ -139,6 +132,34 @@ def u1_mass(alpha, x):
     return _u1_integral(lambda y: 1.0, alpha, x, T) + tail
 
 
+def _F(alpha, x, deriv):
+    """F_family at an ndarray of x >= 0, with the x = 0 limits F(0) = 1 and
+    F'(0) = 0; an entry at 0 of F'' raises DomainError, as a float 0 does."""
+    at0 = x == 0.0
+    if at0.any():
+        limit = F_family(alpha, 0.0, deriv)
+        vals = F_family(alpha, np.where(at0, 1.0, x), deriv)
+        vals[at0] = limit
+        return vals
+    return F_family(alpha, x, deriv)
+
+
+def _in_blocks(rows, h, x):
+    """rows(h, xs), one integral per entry of xs, over the entries of the
+    ndarray x _ROWS at a time, in x's shape.  tanh_sinh runs a block to its
+    slowest row's level, and its matrices grow with the block."""
+    flat = x.ravel()
+    parts = [rows(h, flat[i:i + _ROWS]) for i in range(0, flat.size, _ROWS)]
+    return np.concatenate(parts or [flat]).reshape(x.shape)
+
+
+def _floats_too(fun):
+    """fun, written for ndarrays, extended to a float as a one-entry array,
+    as the SmoothTestFunction callables must be."""
+    return lambda x: fun(x) if isinstance(x, np.ndarray) \
+        else float(fun(np.array([x], dtype=float))[0])
+
+
 def uhat1_resolvent_function(f, alpha):
     """Uhat_1 f as a SmoothTestFunction with analytic derivative structure.
 
@@ -149,25 +170,29 @@ def uhat1_resolvent_function(f, alpha):
     """
     alpha = _alpha_of(alpha)
     lf = lambda_f(f)
+    f0, f10 = f.eval_f(0.0), f.eval_f1(0.0)
 
-    def conv(h, x):
-        if x <= 0.0:
-            return 0.0
+    def rows(h, xs):
         # u and x - u are each a node's distance from one end of [0, x]
-        val, _ = tanh_sinh(lambda u, v: F_family(alpha, u, 1) * _at(h, v),
-                           0.0, x, _TIGHT)
+        val, _ = tanh_sinh(lambda u, v: F_family(alpha, u, 1) * h(v),
+                           np.zeros(xs.size), xs, _TIGHT)
         return val
 
-    g = lambda x: lf * F_family(alpha, x, 0) - conv(f.eval_f, x)
-    g1 = lambda x: (lf * F_family(alpha, x, 1)
-                    - F_family(alpha, x, 1) * f.eval_f(0.0)
-                    - conv(f.eval_f1, x)) if x > 0.0 else 0.0
-    g2 = lambda x: (lf * F_family(alpha, x, 2)
-                    - F_family(alpha, x, 2) * f.eval_f(0.0)
-                    - F_family(alpha, x, 1) * f.eval_f1(0.0)
-                    - conv(f.eval_f2, x))
-    return SmoothTestFunction(*map(_mapped, (g, g1, g2)), decay_gamma=0.0,
-                              fprime0_is_zero=True, name="uhat1_resolvent")
+    def conv(h, x):
+        """(F' * h)(x), one row of nodes per x > 0; 0 where x <= 0."""
+        pos = x > 0.0
+        out = np.zeros(x.shape)
+        out[pos] = _in_blocks(rows, h, x[pos])
+        return out
+
+    g = lambda x: lf * _F(alpha, x, 0) - conv(f.eval_f, x)
+    g1 = lambda x: (lf * _F(alpha, x, 1) - _F(alpha, x, 1) * f0
+                    - conv(f.eval_f1, x))
+    g2 = lambda x: (lf * _F(alpha, x, 2) - _F(alpha, x, 2) * f0
+                    - _F(alpha, x, 1) * f10 - conv(f.eval_f2, x))
+    return SmoothTestFunction(*map(_floats_too, (g, g1, g2)),
+                              decay_gamma=0.0, fprime0_is_zero=True,
+                              name="uhat1_resolvent")
 
 
 def u1_resolvent_function(f, alpha):
@@ -195,28 +220,40 @@ def u1_resolvent_function(f, alpha):
                      for u, _ in tanh_sinh_nodes(0.0, cut))
     fp_cut = F_family(alpha, cut, 1)
 
-    def cross(h, x):
+    def rows(h, xs):
+        col = xs[:, None]
         levels = iter(fp_nodes)
-        val, _ = tanh_sinh(lambda u, _: next(levels) * _at(h, x + u),
-                           0.0, cut, _TIGHT)
+        # every row has the same nodes, those of its first
+        val, _ = tanh_sinh(lambda u, _: next(levels) * h(col + u[0]),
+                           np.zeros(xs.size), np.full(xs.size, cut), _TIGHT)
+        return val
+
+    def cross(h, x):
+        """int_0^cut F'(u) h(x + u) du, one row of nodes per x."""
+        val = _in_blocks(rows, h, x)
         _check_cut(fp_cut * h(x + cut), val, _TIGHT, cut)
         return val
 
-    h = lambda x: math.exp(-x) * mf - cross(f.eval_f, x)
-    h1 = lambda x: -math.exp(-x) * mf - cross(f.eval_f1, x)
-    h2 = lambda x: math.exp(-x) * mf - cross(f.eval_f2, x)
-    return SmoothTestFunction(*map(_mapped, (h, h1, h2)), decay_gamma=6.0,
-                              fprime0_is_zero=False, name="u1_resolvent")
+    h = lambda x: np.exp(-x) * mf - cross(f.eval_f, x)
+    h1 = lambda x: -np.exp(-x) * mf - cross(f.eval_f1, x)
+    h2 = lambda x: np.exp(-x) * mf - cross(f.eval_f2, x)
+    return SmoothTestFunction(*map(_floats_too, (h, h1, h2)),
+                              decay_gamma=6.0, fprime0_is_zero=False,
+                              name="u1_resolvent")
 
 
 def _check_cut(probe, val, tol, cut):
     """Raise unless the integrand value probe at the cut is within the
-    tolerance budget of the integral val truncated there."""
-    if not abs(probe) <= max(tol / 1e4, tol * abs(val)):
+    tolerance budget of the integral val truncated there; both are floats
+    or ndarrays of one shape, and the first entry over budget is raised."""
+    probe, val = np.ravel(probe), np.ravel(val)
+    over = ~(np.abs(probe) <= np.maximum(tol / 1e4, tol * np.abs(val)))
+    if over.any():
+        i = np.argmax(over)
         raise EvaluationError(
             "integrand %.3g at the cut u = %g is outside the tolerance "
-            "budget: f decays too slowly for U_1 f" % (probe, cut),
-            partial=val, bound=abs(probe))
+            "budget: f decays too slowly for U_1 f" % (probe[i], cut),
+            partial=float(val[i]), bound=abs(float(probe[i])))
 
 
 def rep_pointwise(alpha, y):

@@ -8,7 +8,7 @@ alpha in (1,2)).
 Each callable takes a float or an ndarray.  Floats go through math.exp and
 arrays through numpy: np.exp differs from math.exp in the last bit for
 some inputs, and scalar values stay those of math.exp.  The choice is made
-inline, since the resolvent functions call these a float at a time.
+inline, since adaptive_quad's integrands call these a float at a time.
 """
 
 import math

@@ -207,23 +207,28 @@ def _cauchy2_mp(alpha, x, order):
 
 @pytest.mark.parametrize("name", ["gauss", "x2exp", "cauchy2"])
 def test_caputo_scale_scan_is_right_or_raises(name):
-    # the Caputo integral and the order alpha-1 derivative at x = 1e2..1e12:
-    # each value within 1e-6 relative of its reference, or EvaluationError.
-    # At 1e5 the old QUADPACK route gave 4.5e-214 for gauss at 1.5, against
-    # 8.92e-9, and 0.0 from 3e5.  Past 1e8 the order alpha-1 derivative's
-    # two terms cancel to 1e-2 of a Caputo integral good to ~1e-15
+    # the Caputo integral and the order alpha-1 and alpha derivatives at
+    # x = 1e2..1e12: each value within 1e-6 relative of its reference, or
+    # EvaluationError.  At 1e5 the old QUADPACK route gave 4.5e-214 for
+    # gauss at 1.5, against 8.92e-9, and 0.0 from 3e5.  Past 1e8 the order
+    # alpha-1 derivative's two terms cancel to 1e-2 of a Caputo integral
+    # good to ~1e-15.  The order alpha one returned 2.779841e-15 for gauss
+    # at 1.8, x = 1e5, against 2.779853e-15, before it raised
     f = REGISTRY[name]
     answered = 0
     for a in (1.2, 1.5, 1.8):
         for k in range(2, 13):
             x = 10.0 ** k
-            for op, order in ((caputo, 2), (rl_left_alpha_minus1, 1)):
+            # e: the exponent of the f(0) boundary term x^e / G(1 + e)
+            for op, order, e in ((caputo, 2, None),
+                                 (rl_left_alpha_minus1, 1, 1.0 - a),
+                                 (rl_left_alpha, 2, -a)):
                 if name == "cauchy2":
                     ref = _cauchy2_mp(a, x, order)
                 else:
                     ref = _moment_expansion(name, a, x, order)
-                if order == 1:
-                    ref += f.eval_f(0.0) * x ** (1.0 - a) / math.gamma(2.0 - a)
+                if e is not None:
+                    ref += f.eval_f(0.0) * x ** e / math.gamma(1.0 + e)
                 try:
                     val = op(f, a, x)
                 except EvaluationError:

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -147,3 +148,72 @@ def test_resolvent_generator_near_alpha_one():
     # unsubstituted u = 0 end
     rep = check_resolvent_generator(GAUSS, 1.08, np.linspace(0.2, 3.0, 4))
     assert rep.passed and rep.tolerance == 1e-3, rep.max_abs_residual
+
+
+def test_resolvent_functions_agree_on_arrays_and_floats():
+    # the array path runs blocks of x values on shared tanh-sinh levels, a
+    # float one row alone.  g = lam_f F - F' * f cancels terms of size e^x
+    # and h = e^-x M_f - cross terms of size 1, so entries agree to 1e-12
+    # of those scales (g at x ~ 30 is only good to ulp(e^x) on either path)
+    rng = np.random.default_rng(3)
+    xs = np.concatenate([[0.0, 1e-9, 0.2, 2.99, 3.01, 29.9, 30.1],
+                         rng.uniform(0.0, 35.0, 41)])
+    for a in (1.08, 1.5, 1.95):
+        g = uhat1_resolvent_function(GAUSS, a)
+        h = u1_resolvent_function(GAUSS, a)
+        for fun, scale in ((g.eval_f, np.exp), (g.eval_f1, np.exp),
+                           (g.eval_f2, np.exp), (h.eval_f, np.ones_like),
+                           (h.eval_f1, np.ones_like),
+                           (h.eval_f2, np.ones_like)):
+            x = xs[1:] if fun is g.eval_f2 else xs   # g'' is singular at 0
+            arr = fun(x)
+            flt = np.array([fun(float(v)) for v in x])
+            bound = 1e-12 * np.maximum(np.abs(flt), scale(x))
+            assert arr.shape == x.shape
+            assert np.all(np.abs(arr - flt) <= bound), (a, fun, x)
+            # a (1, n) array, as _right_core passes, keeps its shape
+            assert np.array_equal(fun(x[None, :]), arr[None, :])
+        assert g.eval_f1(0.0) == 0.0 and g.eval_f1(np.zeros(3)).tolist() \
+            == [0.0] * 3
+        with pytest.raises(DomainError):
+            g.eval_f2(0.0)
+        with pytest.raises(DomainError):
+            g.eval_f2(np.array([0.5, 0.0, 1.0]))
+
+
+@pytest.mark.parametrize("name", ["x2exp", "cauchy2"])
+def test_cut_raises_alike_on_arrays_and_floats(name):
+    # F'' f at u = 50 already raises while building U_1 f; with gauss
+    # itself and this function's derivatives, M_f passes and each cross
+    # term of h' and h'' must raise the same cut error for a float x and
+    # for an array holding it
+    slow = REGISTRY[name]
+    with pytest.raises(EvaluationError, match="cut u = 50"):
+        u1_resolvent_function(slow, 1.5)
+    h = u1_resolvent_function(
+        replace(GAUSS, eval_f1=slow.eval_f1, eval_f2=slow.eval_f2), 1.5)
+    for fun in (h.eval_f1, h.eval_f2):
+        with pytest.raises(EvaluationError, match="cut u = 50") as one:
+            fun(0.7)
+        with pytest.raises(EvaluationError, match="cut u = 50") as many:
+            fun(np.array([0.7, 1.1, 2.5]))
+        assert str(many.value) == str(one.value)
+        assert many.value.bound == pytest.approx(one.value.bound, rel=1e-12)
+        assert many.value.partial == pytest.approx(one.value.partial,
+                                                   rel=1e-12)
+
+
+# max_abs_residual of check_resolvent_generator(gauss, alpha, grid) on the
+# resolvent workload's stratum edges, from the per-node scalar convolutions
+# this rule replaced; each is a boundary Richardson term
+SCAN_RESIDUALS = {1.08: 6.153656672010211e-04, 1.2: 8.660626836943552e-05,
+                  1.5: 9.67949761413741e-07, 1.8: 1.6346885248174606e-07,
+                  1.95: 2.7435770934997207e-08}
+
+
+def test_resolvent_generator_at_stratum_edges():
+    grid = [0.2 + k * 2.8 / 3 + s for k in range(4) for s in (-1e-9, 1e-9)]
+    for a, ref in SCAN_RESIDUALS.items():
+        rep = check_resolvent_generator(GAUSS, a, grid)
+        assert rep.passed and rep.tolerance == 1e-3, (a, rep.max_abs_residual)
+        assert abs(rep.max_abs_residual - ref) <= 1e-10, a
