@@ -337,16 +337,8 @@ def _block_rng(seed, block):
 
 def _blocked(n, seed, draw_block):
     """Assemble n draws from fixed-size sub-stream blocks."""
-    parts = []
-    done = 0
-    block = 0
-    while done < n:
-        take = min(_BLOCK, n - done)
-        vals = draw_block(_block_rng(seed, block), _BLOCK)[:take]
-        parts.append(vals)
-        done += take
-        block += 1
-    return np.concatenate(parts)
+    return np.concatenate([draw_block(_block_rng(seed, block), _BLOCK)
+                           for block in range(-(-n // _BLOCK))])[:n]
 
 
 def _positive_stable_block(alpha, rng, m):

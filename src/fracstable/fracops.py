@@ -135,12 +135,12 @@ def _caputo_core(d2, alpha, x, tol):
     return val, err
 
 
-def caputo(f, alpha, x, tol=REL_TOL):
+def caputo(f, alpha, x):
     """Caputo derivative of order alpha in (1,2) at x > 0."""
     alpha = _alpha_of(alpha)
     if not x > 0.0:
         raise DomainError("caputo requires x > 0")
-    return _caputo_core(f.eval_f2, alpha, x, tol)[0]
+    return _caputo_core(f.eval_f2, alpha, x, REL_TOL)[0]
 
 
 def _delta_plus(f, alpha, x, tol):

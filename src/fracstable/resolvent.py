@@ -34,6 +34,11 @@ from .dist import iminus_laplace, iminus_moment
 
 _TIGHT = REL_TOL * 0.1   # convolutions, a notch tighter
 _ROWS = 32               # x values per tanh_sinh call of a convolution
+# g, g' and g'' subtract terms of size lam_f e^x/alpha.  Against uhat1_apply
+# (gauss, alpha 1.2 to 1.8) their relative error is (1-5)e-15 times the ratio
+# of the largest term to the result: at most 330 on the certificates' x <= 3,
+# 1e7 at x = 12, 1e11 at 20.  Past 1e8 it may exceed 100 REL_TOL, so it raises.
+_CANCEL_BUDGET = 1e8
 
 
 def _rem(alpha, x, which):
@@ -160,13 +165,28 @@ def _floats_too(fun):
         else float(fun(np.array([x], dtype=float))[0])
 
 
+def _cancelling_sum(x, *terms):
+    """The sum of terms, ndarrays in x's shape; EvaluationError at the first
+    entry whose largest term exceeds the sum by more than _CANCEL_BUDGET."""
+    total = sum(terms)
+    big = np.max(np.abs(terms), axis=0)
+    over = ~(big <= _CANCEL_BUDGET * np.abs(total))
+    if over.any():
+        b, t, at = (float(v[over][0]) for v in (big, total, x))
+        raise EvaluationError("terms of %.3g cancel to %.3g at x = %g, beyond "
+                              "the float budget of Uhat_1 f" % (b, t, at),
+                              partial=t, bound=b)
+    return total
+
+
 def uhat1_resolvent_function(f, alpha):
     """Uhat_1 f as a SmoothTestFunction with analytic derivative structure.
 
     g   = lam_f F - F' * f            (* = convolution on [0, x])
     g'  = lam_f F' - F'(x) f(0) - F' * f'
     g'' = lam_f F'' - F''(x) f(0) - F'(x) f'(0) - F' * f''
-    so g'(0) = 0 exactly, as the boundary condition requires.
+    so g'(0) = 0 exactly, as the boundary condition requires.  An x where
+    the terms cancel beyond _CANCEL_BUDGET (from x = 10 to 15) raises.
     """
     alpha = _alpha_of(alpha)
     lf = lambda_f(f)
@@ -185,11 +205,13 @@ def uhat1_resolvent_function(f, alpha):
         out[pos] = _in_blocks(rows, h, x[pos])
         return out
 
-    g = lambda x: lf * _F(alpha, x, 0) - conv(f.eval_f, x)
-    g1 = lambda x: (lf * _F(alpha, x, 1) - _F(alpha, x, 1) * f0
-                    - conv(f.eval_f1, x))
-    g2 = lambda x: (lf * _F(alpha, x, 2) - _F(alpha, x, 2) * f0
-                    - _F(alpha, x, 1) * f10 - conv(f.eval_f2, x))
+    g = lambda x: _cancelling_sum(x, lf * _F(alpha, x, 0), -conv(f.eval_f, x))
+    g1 = lambda x: _cancelling_sum(x, lf * _F(alpha, x, 1),
+                                   -_F(alpha, x, 1) * f0, -conv(f.eval_f1, x))
+    g2 = lambda x: _cancelling_sum(x, lf * _F(alpha, x, 2),
+                                   -_F(alpha, x, 2) * f0,
+                                   -_F(alpha, x, 1) * f10,
+                                   -conv(f.eval_f2, x))
     return SmoothTestFunction(*map(_floats_too, (g, g1, g2)),
                               decay_gamma=0.0, fprime0_is_zero=True,
                               name="uhat1_resolvent")

@@ -8,17 +8,15 @@ from typing import Optional
 
 import numpy as np
 
-from .dist import (mom_V, mom_X, mom_Xhat, valpha_sample, xhat_sample,
-                   stable_increment_sample)
+from .dist import (kernel_apply, kernel_apply_d2, mom_V, mom_X, mom_Xhat,
+                   stable_increment_sample, valpha_sample, xhat_sample)
 from .errors import DomainError
-from .fracops import delta_plus, is_in_domain_D, rl_right
-from .pathsim import MOMENT_GRID, bias_calibration, simulate_reflected
+from .fracops import SmoothTestFunction, delta_plus, is_in_domain_D, rl_right
+from .pathsim import MOMENT_GRID, Reflect, reflected_sample
 from .quadrature import REL_TOL
 from .resolvent import (u1_resolvent_function, uhat1_resolvent_function,
                         rep_pointwise)
 from .specfun import ml_jet, psi, psi_integral, _alpha_of
-from .dist import kernel_apply, kernel_apply_d2
-from .fracops import SmoothTestFunction
 
 _KS_C = 1.63   # two-sample KS critical constant at the 1% level
 
@@ -110,45 +108,35 @@ def check_factorization(alpha, s_grid):
 
 
 def check_identity_law(alpha, n_exact, path_cfg):
-    """X_1 = V_a x Xhat_1 in law: path-discretized X vs exact product draws.
-
-    Residuals are normalized by their decision limits (1% KS threshold plus
-    calibrated allowance; 3 combined standard errors plus allowance, at each
-    s in MOMENT_GRID), so the tolerance is 1.  The allowances come from
-    bias_calibration on the ladder n_steps/4, n_steps/2, n_steps.
+    """X_1 = V_a x Xhat_1 in law: exact stick-breaking draws of X_1, as
+    many as path_cfg.n_paths (n_steps is not read), against exact product
+    draws.  Residuals are normalized by their decision limits (the 1% KS
+    threshold; 3 standard errors of each population's s-th moment against
+    mom_X, at each s in MOMENT_GRID), so the tolerance is 1.
     """
     t0 = time.perf_counter()
     alpha = _alpha_of(alpha)
+    if path_cfg.reflect is not Reflect.AtSupremum or path_cfg.horizon != 1:
+        raise DomainError("the identity in law is certified for X_1: the "
+                          "config must reflect at the supremum over horizon 1")
     if n_exact < 1000 or path_cfg.n_paths < 1000:
         raise DomainError("sample sizes must be at least 1e3")
     seed = path_cfg.seed
-    calibration = bias_calibration(
-        alpha, [path_cfg.n_steps >> 2, path_cfg.n_steps >> 1,
-                path_cfg.n_steps], path_cfg.n_paths, seed + 17)
-    pop_a = simulate_reflected(path_cfg)
+    pop_a = reflected_sample(alpha, path_cfg.n_paths, seed)
     pop_b = valpha_sample(alpha, n_exact, seed + 1) \
         * xhat_sample(alpha, n_exact, seed + 2)
-
-    residuals = []
     ks = ks_two_sample(pop_a, pop_b)
-    limit = ks.threshold + calibration["ks_allowance"]
-    residuals.append(("ks", ks.statistic / limit))
+    residuals = [("ks", ks.statistic / ks.threshold)]
     for s in MOMENT_GRID:
         target = mom_X(alpha, s)
-        wb = pop_b ** s
-        gap_b = abs(wb.mean() - target)
-        se_b = wb.std() / math.sqrt(len(wb))
-        residuals.append((f"moment_exact_s={s}", gap_b / (3.0 * se_b)))
-        wa = pop_a ** s
-        gap_a = abs(wa.mean() - target)
-        se_a = wa.std() / math.sqrt(len(wa))
-        allow = calibration["moment_allowance"][s]
-        residuals.append((f"moment_path_s={s}",
-                          gap_a / (3.0 * se_a + allow)))
+        for name, pop in (("product", pop_b), ("stick", pop_a)):
+            w = pop ** s
+            se = w.std() / math.sqrt(len(w))
+            residuals.append((f"moment_{name}_s={s}",
+                              abs(w.mean() - target) / (3.0 * se)))
     params = {"n_exact": int(n_exact), "n_paths": path_cfg.n_paths,
-              "n_steps": path_cfg.n_steps, "ks_statistic": ks.statistic,
-              "ks_threshold": ks.threshold,
-              "ks_allowance": calibration["ks_allowance"], "level": 0.01}
+              "ks_statistic": ks.statistic, "ks_threshold": ks.threshold,
+              "ks_allowance": 0.0, "level": 0.01}
     return _finish("identity-law", alpha, params, residuals, 1.0, t0,
                    seed=seed)
 

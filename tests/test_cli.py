@@ -100,8 +100,10 @@ def test_calibrate_bias_command():
                         "--seed", "2")
     assert code == 0
     data = json.loads(out)
-    assert data["ks_allowance"] > 0.0
-    assert len(data["rungs"]) == 3
+    assert set(data) == {"alpha", "seed", "n_paths", "rungs", "sup_rungs"}
+    for side in ("rungs", "sup_rungs"):
+        assert [r["n_steps"] for r in data[side]] == [64, 128, 256]
+        assert all(0.0 <= r["ks"] <= 1.0 for r in data[side])
 
 
 def test_verify_command_pass_and_fail_exit_codes(tmp_path):
@@ -124,6 +126,18 @@ def test_verify_rep_exits_one_where_the_laplace_series_cancels(capsys):
     code, _ = run_cli("verify", "rep", "--alpha", "1.5", "--y", "20")
     assert code == 1
     assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_verify_identity_law_passes_at_its_defaults():
+    # seed 7 used to fail: the calibrated walk's sup-side bias outran its
+    # allowance; the check now draws X_1 exactly and takes no --steps
+    for argv in (("--alpha", "1.2"), ("--alpha", "1.5"), ("--alpha", "1.8"),
+                 ("--alpha", "1.5", "--seed", "7")):
+        code, out = run_cli("verify", "identity-law", *argv)
+        data = json.loads(out)
+        assert code == 0 and data["passed"], data
+        assert data["params"]["ks_allowance"] == 0.0
+        assert "n_steps" not in data["params"]
 
 
 def test_verify_factorization_command():

@@ -121,6 +121,26 @@ def test_apply_matches_resolvent_functions():
         assert g.eval_f1(0.0) == 0.0
 
 
+def test_uhat1_resolvent_function_is_right_or_raises_at_large_x():
+    # g = lam_f F - F' * f cancels terms of size lam_f e^x/alpha: each value
+    # is within 1e-6 of the density route, or g raises where the cancelling
+    # terms exceed the result by more than the float budget (g(28) would be
+    # off by more than 100%)
+    for a in (1.2, 1.5, 1.8):
+        g = uhat1_resolvent_function(GAUSS, a)
+        for x in (1.0, 3.0, 8.0, 12.0, 15.0, 17.0, 20.0, 24.0, 28.0):
+            try:
+                val = g.eval_f(x)
+            except EvaluationError as exc:
+                assert "float budget" in str(exc)
+                assert exc.bound > 1e8 * abs(exc.partial)
+                continue
+            assert x < 28.0, (a, x)
+            assert val == pytest.approx(uhat1_apply(GAUSS, a, x), rel=1e-6)
+        with pytest.raises(EvaluationError, match="float budget"):
+            g.eval_f(28.0)
+
+
 def test_u1_resolvent_function_raises_where_its_cut_is_not_negligible():
     # x2exp decays like e^-x, so F'' f at the cut u = 50 is about 1.7e3
     with pytest.raises(EvaluationError, match="cut u = 50") as exc:
@@ -154,7 +174,9 @@ def test_resolvent_functions_agree_on_arrays_and_floats():
     # the array path runs blocks of x values on shared tanh-sinh levels, a
     # float one row alone.  g = lam_f F - F' * f cancels terms of size e^x
     # and h = e^-x M_f - cross terms of size 1, so entries agree to 1e-12
-    # of those scales (g at x ~ 30 is only good to ulp(e^x) on either path)
+    # of those scales.  Where g's terms cancel beyond its float budget, a
+    # float raises, and so does any array holding that x, naming its first
+    # such entry
     rng = np.random.default_rng(3)
     xs = np.concatenate([[0.0, 1e-9, 0.2, 2.99, 3.01, 29.9, 30.1],
                          rng.uniform(0.0, 35.0, 41)])
@@ -166,6 +188,26 @@ def test_resolvent_functions_agree_on_arrays_and_floats():
                            (h.eval_f1, np.ones_like),
                            (h.eval_f2, np.ones_like)):
             x = xs[1:] if fun is g.eval_f2 else xs   # g'' is singular at 0
+            raised = {}
+            for v in x:
+                try:
+                    fun(float(v))
+                except EvaluationError as exc:
+                    raised[v] = exc
+            if raised:
+                # the cancelled result itself is noise there, so the two
+                # raises agree on x and on the size of the terms
+                one = next(iter(raised.values()))
+                with pytest.raises(EvaluationError) as many:
+                    fun(x)
+                assert str(many.value).split(" at x = ")[1] \
+                    == str(one).split(" at x = ")[1]
+                assert many.value.bound == pytest.approx(one.bound, rel=1e-12)
+                assert fun in (g.eval_f, g.eval_f1, g.eval_f2)
+                # from x = 10 to 15 on, by alpha and derivative order
+                assert min(raised) > 8.0 and all(v in raised for v in x
+                                                 if v > 16.0), (a, fun)
+                x = np.array([v for v in x if v not in raised])
             arr = fun(x)
             flt = np.array([fun(float(v)) for v in x])
             bound = 1e-12 * np.maximum(np.abs(flt), scale(x))

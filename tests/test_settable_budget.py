@@ -10,7 +10,7 @@ from pathlib import Path
 
 import fracstable
 
-SETTABLE_BUDGET = 19
+SETTABLE_BUDGET = 18
 
 
 def _is_dataclass(node):

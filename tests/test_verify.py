@@ -94,6 +94,15 @@ def test_identity_law_rejects_tiny_samples():
         check_identity_law(1.5, 20_000, cfg)
 
 
+def test_identity_law_rejects_a_config_of_another_law():
+    # the check certifies X_1: reflected at the supremum, at horizon 1
+    for cfg in (PathConfig(1.5, 512, 2000, 42, Reflect.AtInfimum),
+                PathConfig(1.5, 512, 2000, 42, Reflect.AtSupremum,
+                           horizon=2.0)):
+        with pytest.raises(DomainError, match="supremum over horizon 1"):
+            check_identity_law(1.5, 20_000, cfg)
+
+
 def test_cm_checks():
     x_grid = (0.25, 1.0, 4.0)
     for target, n_max in (("recip_ML", 8), ("F_minus_Fprime", 8),
