@@ -3,11 +3,12 @@
 One relative tolerance sets each integral (nested layers scale REL_TOL),
 and improper integrals stop at TAIL_CUTOFF, their callers bounding the
 rest.  tanh_sinh, a fixed nested rule over node arrays, serves the kernel
-V_alpha, the fractional-operator cores and the resolvent convolutions:
-their integrands take a whole level of nodes at a time, and with arrays
-of endpoints a whole family of integrals at once, one matrix per level.
-adaptive_quad, scipy's adaptive Gauss-Kronrod, serves the rest: moments,
-the V_alpha tables, the resolvent masses and the remainder integrals.
+V_alpha, the fractional-operator cores, the resolvent convolutions, M_f
+and Uhat_1 f with its mass: their integrands take a whole level of nodes
+at a time, and with arrays of endpoints a whole family of integrals at
+once, one matrix per level.  adaptive_quad, scipy's adaptive
+Gauss-Kronrod, serves the rest: moments, the V_alpha tables, lambda_f,
+U_1 f with its mass, and the remainder integrals.
 """
 
 import math

@@ -6,17 +6,21 @@ parts of F, F', F'' cancel analytically, leaving only the remainders
 A = F - e^x/alpha, B = F' - e^x/alpha, C = F'' - e^x/alpha.  F_remainders
 takes them from F_alpha's series below x = 3 (_REM_MP_FROM), from a Laplace
 integral of a positive density on [3, 30) and from the asymptotic series
-from x = 30 (REM_SWITCH) up; the quadratures here mark both switches, where
-the remainders change branch, as breakpoints.
+from x = 30 (REM_SWITCH) up; the quadratures here put panel edges or
+breakpoints at both switches, where the remainders change branch.
 
-The resolvents Uhat_1 f and U_1 f as test functions are convolutions of F'
-with f, evaluated at a whole array of x at once, as the operator cores
-pass a level of nodes.  Each convolution runs on the row form of the
-tanh-sinh rule, one row of nodes per x and _ROWS rows per call, with
-F_family's array form and f taking each level's matrix of nodes whole; a
-float x is a one-entry array.  The cross term's F' values on [0, 50] are
-the same at every x, so each U_1 f computes them once.  Every other
-integral here is on adaptive_quad.
+Every integral but lambda_f and those of u1_apply and u1_mass runs on the
+row form of the tanh-sinh rule, its integrand taking a level of nodes
+whole.  uhat1_apply and uhat1_mass integrate uhat1_density on one row per
+panel, whose remainder B is F_family's array series minus e^x/alpha below
+x = 3.  The resolvents Uhat_1 f and U_1 f as test functions are
+convolutions of F' with f, evaluated at a whole array of x at once, as the
+operator cores pass a level of nodes: one row of nodes per x and _ROWS
+rows per call, with F' at each level's nodes from specfun's rows kernel
+and f taking the level's matrix of nodes; a float x is a one-entry array.
+The cross term's F' values on [0, 50] are the same at every x, so each
+U_1 f computes them once, as does M_f, on two rows.  lambda_f, u1_apply
+and u1_mass stay on adaptive_quad over the scalar densities.
 """
 
 import math
@@ -28,12 +32,14 @@ from .fracops import SmoothTestFunction
 from .gammafn import gamma
 from .quadrature import (REL_TOL, TAIL_CUTOFF, adaptive_quad, tanh_sinh,
                          tanh_sinh_nodes)
-from .specfun import (F_family, F_remainders, REM_SWITCH, _REM_MP_FROM,
-                      _alpha_of)
+from .specfun import (F_family, F_remainders, REM_SWITCH, _F_rows,
+                      _REM_MP_FROM, _alpha_of)
 from .dist import iminus_laplace, iminus_moment
 
 _TIGHT = REL_TOL * 0.1   # convolutions, a notch tighter
 _ROWS = 32               # x values per tanh_sinh call of a convolution
+_WINDOW = 40.0           # uhat1's far side past y = x: e^-40 = 4e-18
+_Y_MIN = 1e-150          # M_f's substituted panel stops here, as caputo's does
 # g, g' and g'' subtract terms of size lam_f e^x/alpha.  Against uhat1_apply
 # (gauss, alpha 1.2 to 1.8) their relative error is (1-5)e-15 times the ratio
 # of the largest term to the result: at most 330 on the certificates' x <= 3,
@@ -42,7 +48,16 @@ _CANCEL_BUDGET = 1e8
 
 
 def _rem(alpha, x, which):
-    """F_remainders extended to x = 0 by the series limits."""
+    """F_remainders extended to x = 0 by the series limits.  An ndarray x
+    takes F_family's array series minus e^x/alpha below _REM_MP_FROM and
+    F_remainders' floats, entry by entry, from there on."""
+    if isinstance(x, np.ndarray):
+        d = "ABC".index(which)
+        out = np.empty(x.shape)
+        low = x < _REM_MP_FROM
+        out[low] = _F(alpha, x[low], d) - np.exp(x[low]) / alpha
+        out[~low] = [F_remainders(alpha, float(v), which) for v in x[~low]]
+        return out
     if x == 0.0:
         if which == "A":
             return 1.0 - 1.0 / alpha
@@ -53,15 +68,18 @@ def _rem(alpha, x, which):
 
 
 def uhat1_density(alpha, x, y):
-    """Resolvent density of Xhat: e^{-y} F(x) - F'(x-y) 1{y<=x}."""
+    """Resolvent density of Xhat: e^{-y} F(x) - F'(x-y) 1{y<=x}, at a float
+    y or at every entry of an ndarray y, with A(x) taken once."""
     alpha = _alpha_of(alpha)
-    if not (x >= 0.0 and y >= 0.0):
+    ys = np.atleast_1d(np.asarray(y, dtype=float))
+    if not (x >= 0.0 and np.all(ys >= 0.0)):
         raise DomainError("x and y must be nonnegative")
-    a = _rem(alpha, x, "A")
-    if y <= x:
-        return math.exp(-y) * a - _rem(alpha, x - y, "B")
+    out = np.exp(-ys) * _rem(alpha, x, "A")
+    below = ys <= x
+    out[below] -= _rem(alpha, x - ys[below], "B")
     # exponential parts no longer cancel but stay bounded: e^{x-y}/alpha
-    return math.exp(x - y) / alpha + math.exp(-y) * a
+    out[~below] += np.exp(x - ys[~below]) / alpha
+    return out if isinstance(y, np.ndarray) else float(out[0])
 
 
 def u1_density(alpha, x, y):
@@ -85,14 +103,23 @@ def lambda_f(f):
 
 
 def uhat1_apply(f, alpha, x):
-    """(Uhat_1 f)(x) by quadrature against the density (kink marked at y=x)."""
+    """(Uhat_1 f)(x) on tanh_sinh's row form, f (or f.eval_f) taking an
+    ndarray of y.  The panels of [0, x] end at the kink y = x and at the
+    remainder switches y = x - 3 and x - 30 that fall inside; past x the
+    density is e^{x-y}/alpha + e^{-y} A(x), so a window of _WINDOW ends it.
+    """
     alpha = _alpha_of(alpha)
+    if not 0.0 <= x < math.inf:
+        raise DomainError("uhat1_apply requires a finite x >= 0")
     fv = f.eval_f if hasattr(f, "eval_f") else f
-    pts = sorted(p for p in (x, x - REM_SWITCH, x - _REM_MP_FROM)
-                 if 0.0 < p < TAIL_CUTOFF)
-    val, _ = adaptive_quad(lambda y: uhat1_density(alpha, x, y) * fv(y),
-                           0.0, TAIL_CUTOFF, points=pts or None)
-    return val
+    edges = sorted({0.0, x} | {x - s for s in (_REM_MP_FROM, REM_SWITCH)
+                               if x - s > 0.0})
+    a = np.array(edges)
+    b = np.append(a[1:], x + _WINDOW)
+    col = a[:, None]
+    val, _ = tanh_sinh(lambda d, _: uhat1_density(alpha, x, col + d)
+                       * fv(col + d), a, b, REL_TOL)
+    return float(val.sum())
 
 
 def _u1_integral(fv, alpha, x, T):
@@ -113,10 +140,21 @@ def _u1_integral(fv, alpha, x, T):
 
 
 def u1_apply(f, alpha, x):
-    """(U_1 f)(x) by quadrature against the density up to the tail cutoff."""
+    """(U_1 f)(x) by quadrature against the density up to the tail cutoff.
+
+    Past y = x the density falls off like (y - x)^(-alpha-1), and most of
+    its mass lies within y - x < 30; from x = TAIL_CUTOFF - 30 on the
+    cutoff drops it, so there this raises with the truncated integral as
+    partial.
+    """
     alpha = _alpha_of(alpha)
     fv = f.eval_f if hasattr(f, "eval_f") else f
-    return _u1_integral(fv, alpha, x, TAIL_CUTOFF)
+    val = _u1_integral(fv, alpha, x, TAIL_CUTOFF)
+    if x + 30.0 > TAIL_CUTOFF:
+        raise EvaluationError("x = %g is within 30 of the tail cutoff %g, "
+                              "which drops U_1 f's mass past y = x"
+                              % (x, TAIL_CUTOFF), partial=val)
+    return val
 
 
 def uhat1_mass(alpha, x):
@@ -193,9 +231,10 @@ def uhat1_resolvent_function(f, alpha):
     f0, f10 = f.eval_f(0.0), f.eval_f1(0.0)
 
     def rows(h, xs):
-        # u and x - u are each a node's distance from one end of [0, x]
-        val, _ = tanh_sinh(lambda u, v: F_family(alpha, u, 1) * h(v),
-                           np.zeros(xs.size), xs, _TIGHT)
+        # node k of row i sits at u = x_i s_k from 0, and v from x_i
+        shares = (pa for pa, _ in tanh_sinh_nodes(0.0, 1.0))
+        val, _ = tanh_sinh(lambda u, v: _F_rows(alpha, xs, next(shares), 1)
+                           * h(v), np.zeros(xs.size), xs, _TIGHT)
         return val
 
     def conv(h, x):
@@ -208,13 +247,36 @@ def uhat1_resolvent_function(f, alpha):
     g = lambda x: _cancelling_sum(x, lf * _F(alpha, x, 0), -conv(f.eval_f, x))
     g1 = lambda x: _cancelling_sum(x, lf * _F(alpha, x, 1),
                                    -_F(alpha, x, 1) * f0, -conv(f.eval_f1, x))
-    g2 = lambda x: _cancelling_sum(x, lf * _F(alpha, x, 2),
-                                   -_F(alpha, x, 2) * f0,
-                                   -_F(alpha, x, 1) * f10,
-                                   -conv(f.eval_f2, x))
+
+    def g2(x):
+        f2 = _F(alpha, x, 2)
+        return _cancelling_sum(x, lf * f2, -f2 * f0, -_F(alpha, x, 1) * f10,
+                               -conv(f.eval_f2, x))
+
     return SmoothTestFunction(*map(_floats_too, (g, g1, g2)),
                               decay_gamma=0.0, fprime0_is_zero=True,
                               name="uhat1_resolvent")
+
+
+def _m_f(f, alpha, cut):
+    """M_f = int_0^cut F''(y) f(y) dy on tanh_sinh's row form, a row on
+    [0, 1] and a row on [1, cut]; EvaluationError unless F'' f at the cut
+    is within the tolerance budget of M_f."""
+    p = 1.0 / (alpha - 1.0)
+
+    def rows(d, _):
+        # [0, 1] is taken in y = s^p, dy = p y^(2-alpha) ds, which cancels
+        # the y^(alpha-2) of F''; below _Y_MIN the integrand equals its
+        # s -> 0 limit f(0)/Gamma(alpha) to double precision, so y stops there
+        y = np.stack([np.maximum(d[0] ** p, _Y_MIN), 1.0 + d[1]])
+        jac = np.stack([p * y[0] ** (2.0 - alpha), np.ones(y.shape[1])])
+        return F_family(alpha, y, 2) * f.eval_f(y) * jac
+
+    parts, _ = tanh_sinh(rows, np.zeros(2), np.array([1.0, cut - 1.0]),
+                         REL_TOL)
+    mf = float(parts.sum())
+    _check_cut(F_family(alpha, cut, 2) * f.eval_f(cut), mf, REL_TOL, cut)
+    return mf
 
 
 def u1_resolvent_function(f, alpha):
@@ -227,19 +289,11 @@ def u1_resolvent_function(f, alpha):
     e^u growth, and the truncated integrals would be garbage.
     """
     alpha = _alpha_of(alpha)
-    p = 1.0 / (alpha - 1.0)
-    # M_f with the y^{alpha-2} singular panel substituted away
-    mh, _ = adaptive_quad(
-        lambda s: F_family(alpha, s ** p, 2) * f.eval_f(s ** p)
-        * p * s ** (p - 1.0), 0.0, 1.0)
     cut = 50.0  # F'' e^y growth crushed by the superexponential decay of f
-    mt, _ = adaptive_quad(lambda y: F_family(alpha, y, 2) * f.eval_f(y),
-                          1.0, cut)
-    mf = mh + mt
-    _check_cut(F_family(alpha, cut, 2) * f.eval_f(cut), mf, REL_TOL, cut)
+    mf = _m_f(f, alpha, cut)
     # F' at the nodes of [0, cut], level by level: the same for every x
-    fp_nodes = tuple(F_family(alpha, u, 1)
-                     for u, _ in tanh_sinh_nodes(0.0, cut))
+    fp_nodes = tuple(_F_rows(alpha, np.array([cut]), pa, 1)[0]
+                     for pa, _ in tanh_sinh_nodes(0.0, 1.0))
     fp_cut = F_family(alpha, cut, 1)
 
     def rows(h, xs):

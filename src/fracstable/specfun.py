@@ -23,6 +23,9 @@ Branch layout for the exponential-scale family F_alpha:
 F_family also takes an ndarray of x > 0, the node arrays of the vectorized
 quadrature rule.  It sums the same positive series there as one log-space
 matrix, on every x up to the float overflow of F, so it has no branches.
+_F_rows, its one array kernel, takes F at x_i s_k for a row of x and a
+level of shares s in (0, 1] as one matrix product, the form of a
+convolution's nodes on [0, x_i].
 """
 
 import math
@@ -264,47 +267,68 @@ def F_remainders(alpha, x, which):
 
 # F, F' and F'' all exceed e^x/alpha > DBL_MAX from here on, for alpha < 2
 _F_OVERFLOW = 711.0
+_TINY = np.finfo(float).tiny   # the smallest normal float
 
 
-def _F_array(alpha, x, deriv):
-    """F^(deriv) at an ndarray of x > 0: the terms
-    ff_n x^(alpha n - deriv) / Gamma(alpha n + 1), ff_n the falling factorial
-    (alpha n)(alpha n - 1)... of length deriv, as one matrix of logarithms
-    with a row per x, summed after taking out each row's largest term.  The
-    terms peak near alpha n = x and are negligible past alpha n = 40 + 3x.
+def _F_rows(alpha, xs, shares, deriv):
+    """F^(deriv)(x_i s_k) for a 1-D ndarray xs of x > 0 and one of shares s
+    in (0, 1], as a matrix with a row per x_i.
+
+    Term n is c_n (x s)^(e - deriv), e = alpha n, c_n = ff_n / Gamma(e + 1)
+    with ff_n the falling factorial e (e - 1)... of length deriv.  Each
+    row's terms at s = 1 are one matrix of logarithms, scaled by the row's
+    largest term; the powers s^(e - deriv) are a second matrix, and one
+    matrix product sums every entry.  The terms peak near e = x s and are
+    negligible past e = 40 + 3x.  Every term is positive, so digits are
+    lost only where a scaled product falls below the float range, which
+    drops an entry's leading terms at a small s from about x = 600 on:
+    such rows are summed entry by entry, each at its own scale.
     """
     if deriv not in (0, 1, 2):
         raise DomainError("deriv must be 0, 1 or 2")
-    xs = x.ravel()
-    if not np.all(xs > 0.0):
+    if not (xs > 0.0).all():
         raise DomainError("F_family requires x > 0 at every array entry")
     top = xs.max(initial=0.0)
     if top > _F_OVERFLOW:
         raise EvaluationError("F^(%d)(%.6g) is beyond float range"
                               % (deriv, top))
     e = alpha * np.arange(1 if deriv else 0, (40.0 + 3.0 * top) / alpha + 1)
-    ff = (np.ones_like(e), e, e * (e - 1.0))[deriv]
+    coef = -gammaln(e + 1.0)
+    if deriv:
+        # the falling factorial e (e - 1)... of length deriv
+        coef += np.log(e if deriv == 1 else e * (e - 1.0))
     # one matrix, updated in place
-    logs = np.outer(np.log(xs), e - deriv)
-    logs += np.log(ff) - gammaln(e + 1.0)
+    logs = np.multiply.outer(np.log(xs), e - deriv)
+    logs += coef
     peak = logs.max(axis=1)
     logs -= peak[:, None]
-    with np.errstate(over="ignore"):
-        out = np.exp(peak) * np.exp(logs, out=logs).sum(axis=1)
-    if not np.all(np.isfinite(out)):
+    powers = np.exp(np.multiply.outer(e - deriv, np.log(shares)))
+    sums = np.exp(logs, out=logs) @ powers
+    # a scaled term times a power is off by at most a subnormal ulp times
+    # the largest power; over e.size terms that stays below an ulp of any
+    # sum of at least e.size * tiny times that power
+    lost = ~(sums.min(axis=1) >= e.size * _TINY * max(powers.max(), 1.0))
+    # a row whose scale overflows raises below, unless it was lost anyway
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = np.exp(peak)[:, None] * sums
+    if lost.any():
+        out[lost] = _F_rows(alpha, np.outer(xs[lost], shares).ravel(),
+                            np.ones(1), deriv).reshape(-1, shares.size)
+    if not np.isfinite(out).all():
         raise EvaluationError("F^(%d) overflows float range below x = %.6g"
                               % (deriv, top))
-    return out.reshape(x.shape)
+    return out
 
 
 def F_family(alpha, x, deriv=0):
     """F_alpha(x) = E_alpha(x^alpha) and its first two derivatives.
 
-    x is a float x >= 0, or an ndarray of x > 0 (see _F_array).
+    x is a float x >= 0, or an ndarray of x > 0: the rows form of _F_rows
+    with the one share s = 1.
     """
     alpha = _alpha_of(alpha)
     if isinstance(x, np.ndarray):
-        return _F_array(alpha, x, deriv)
+        return _F_rows(alpha, x.ravel(), np.ones(1), deriv).reshape(x.shape)
     if not x >= 0.0:
         raise DomainError("F_family requires x >= 0")
     if deriv not in (0, 1, 2):

@@ -79,6 +79,8 @@ def test_nan_arguments_raise_domain_error():
              lambda: u1_density(1.5, nan, 1.0),
              lambda: u1_density(1.5, 1.0, nan),
              lambda: uhat1_density(1.5, 1.0, nan),
+             lambda: uhat1_mass(1.5, nan),
+             lambda: uhat1_mass(1.5, math.inf),
              lambda: kernel_apply(GAUSS, 1.5, nan),
              lambda: iminus_pdf(1.5, nan),
              lambda: iminus_tail_integral(1.5, nan),
@@ -91,10 +93,15 @@ def test_nan_arguments_raise_domain_error():
 
 def test_total_masses_are_one():
     # q = 1 resolvent of a conservative process integrates to 1/q = 1
+    # uhat1_mass puts panel edges at y = x - 3 and x - 30, where the
+    # remainder B changes branch: x = 3 +- 1e-9, 8 and 31 cover them
     for a in (1.2, 1.5, 1.8):
-        for x in (0.0, 0.7, 3.0):
-            assert uhat1_mass(a, x) == pytest.approx(1.0, rel=1e-8)
-            assert u1_mass(a, x) == pytest.approx(1.0, rel=1e-8)
+        for x in (0.0, 0.7, 3.0 - 1e-9, 3.0, 3.0 + 1e-9, 8.0, 31.0):
+            assert uhat1_mass(a, x) == pytest.approx(1.0, rel=1e-8), (a, x)
+            assert u1_mass(a, x) == pytest.approx(1.0, rel=1e-8), (a, x)
+        # its far side is a window past y = x, not a cutoff at TAIL_CUTOFF
+        for x in (990.0, 2000.0):
+            assert uhat1_mass(a, x) == pytest.approx(1.0, rel=1e-8), (a, x)
 
 
 def test_apply_consistent_with_mass():
@@ -151,6 +158,45 @@ def test_u1_resolvent_function_raises_where_its_cut_is_not_negligible():
 def test_u1_apply_runs_and_is_positive():
     for x in (0.0, 1.0, 3.0):
         assert u1_apply(GAUSS, 1.5, x) > 0.0
+
+
+def test_u1_apply_raises_where_the_tail_cutoff_drops_its_mass():
+    # u1(x, .) keeps most of its mass on [x, x + 30]; once that window
+    # passes the cutoff y = 1000, the truncated integral is garbage
+    # (1.7e-50 at x = 1100, where f is 8.3e-7)
+    slow = REGISTRY["cauchy2"]
+    assert u1_apply(slow, 1.5, 900.0) > 0.0
+    for x in (999.0, 1100.0):
+        with pytest.raises(EvaluationError, match="tail cutoff") as exc:
+            u1_apply(slow, 1.5, x)
+        assert math.isfinite(exc.value.partial)
+
+
+@pytest.mark.parametrize("alpha", [1.01, 1.99])
+def test_m_f_matches_a_quadpack_reference(alpha):
+    # M_f = int_0^50 F'' f on two tanh-sinh rows, against QUADPACK's
+    # algebraic-weight rule for F''(y) ~ y^(alpha-2) / Gamma(alpha-1) on
+    # [0, 1] and plain quad on [1, 50].  At alpha = 1.01 the head row's
+    # y = s^100 falls below 1e-150 for s < 0.03 and underflows for
+    # s < 8e-4, where the row takes the integrand's s -> 0 limit
+    from scipy.integrate import quad
+
+    from fracstable.gammafn import rgamma
+    from fracstable.resolvent import _m_f
+
+    f = GAUSS.eval_f
+
+    def smooth(y):
+        # F''(y) y^(2-alpha) f(y), with its y -> 0 limit
+        if y == 0.0:
+            return rgamma(alpha - 1.0) * f(0.0)
+        return F_family(alpha, y, 2) * y ** (2.0 - alpha) * f(y)
+
+    head, _ = quad(smooth, 0.0, 1.0, weight="alg", wvar=(alpha - 2.0, 0.0),
+                   epsabs=0.0, epsrel=1e-13, limit=200)
+    tail, _ = quad(lambda y: F_family(alpha, y, 2) * f(y), 1.0, 50.0,
+                   epsabs=0.0, epsrel=1e-13, limit=200)
+    assert _m_f(GAUSS, alpha, 50.0) == pytest.approx(head + tail, rel=1e-10)
 
 
 def test_rep_pointwise_oracle():

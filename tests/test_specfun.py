@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 
 from fracstable.errors import DomainError, EvaluationError, RootNotFoundError
 from fracstable.specfun import (F_family, F_remainders, GeneralIndex,
-                                _rem_integral, _rem_series_mp, ml_jet,
+                                _F_rows, _rem_integral, _rem_series_mp, ml_jet,
                                 mittag_leffler, psi, psi_general,
                                 psi_integral, theta_root)
 
@@ -167,6 +168,33 @@ def test_f_family_array_matches_scalar_and_ml_jet():
                 v = vals[d][i]
                 assert v == pytest.approx(float(jet[d]), rel=1e-13), (a, x, d)
                 assert v == pytest.approx(F_family(a, x, d), rel=1e-11)
+    # the rows kernel takes F at x_i s_k from one matrix product per call
+    xs = np.array([1e-3, 0.4, 2.9, 9.0, 17.0, 29.0])
+    shares = np.array([1e-30, 1e-12, 1e-5, 0.01, 0.3, 0.77, 1.0])
+    for a in (1.01, 1.2, 1.5, 1.8, 1.99):
+        for d in (0, 1, 2):
+            rows = _F_rows(a, xs, shares, d)
+            assert rows.shape == (xs.size, shares.size)
+            for (i, x), (k, s) in itertools.product(enumerate(xs),
+                                                    enumerate(shares)):
+                with mp.workdps(30):
+                    jet = ml_jet(a, mp.mpf(x) * mp.mpf(s), 2, p=a)
+                assert rows[i, k] == pytest.approx(float(jet[d]), rel=1e-12), \
+                    (a, x, s, d)
+    # from x = 600 on, a small share's leading terms drop below the float
+    # range of the row's scale: such a row matches the log-space sum at x s,
+    # or F at x overflows and the row raises
+    for a in (1.01, 1.5, 1.99):
+        for d in (0, 1, 2):
+            for x in (600.0, 700.0, 710.0):
+                try:
+                    rows = _F_rows(a, np.array([x, 1.0]), shares, d)
+                except EvaluationError as exc:
+                    assert "float range" in str(exc)
+                    continue
+                ref = F_family(a, x * shares, d)
+                assert np.allclose(rows[0], ref, rtol=1e-12, atol=0.0), \
+                    (a, x, d)
 
 
 def test_f_family_array_domain_and_overflow():
