@@ -6,9 +6,10 @@ rest.  tanh_sinh, a fixed nested rule over node arrays, serves the kernel
 V_alpha, the fractional-operator cores, the resolvent convolutions, M_f
 and Uhat_1 f with its mass: their integrands take a whole level of nodes
 at a time, and with arrays of endpoints a whole family of integrals at
-once, one matrix per level.  adaptive_quad, scipy's adaptive
-Gauss-Kronrod, serves the rest: moments, the V_alpha tables, lambda_f,
-U_1 f with its mass, and the remainder integrals.
+once, one matrix per level.  Its level tables _TS_LEVELS also give the
+node tables of specfun's remainder integrals.  adaptive_quad, scipy's
+adaptive Gauss-Kronrod, serves the rest: moments, the V_alpha tables,
+lambda_f, and U_1 f with its mass.
 """
 
 import math

@@ -145,15 +145,24 @@ def u1_apply(f, alpha, x):
     Past y = x the density falls off like (y - x)^(-alpha-1), and most of
     its mass lies within y - x < 30; from x = TAIL_CUTOFF - 30 on the
     cutoff drops it, so there this raises with the truncated integral as
-    partial.
+    partial.  Closer in, the mass past T = TAIL_CUTOFF is
+    A(T - x) - e^{-x} B(T), as in u1_mass, and |f(T)| times it estimates
+    what the cutoff drops; past 100 REL_TOL of the value this raises too.
     """
     alpha = _alpha_of(alpha)
     fv = f.eval_f if hasattr(f, "eval_f") else f
-    val = _u1_integral(fv, alpha, x, TAIL_CUTOFF)
-    if x + 30.0 > TAIL_CUTOFF:
+    T = TAIL_CUTOFF
+    val = _u1_integral(fv, alpha, x, T)
+    if x + 30.0 > T:
         raise EvaluationError("x = %g is within 30 of the tail cutoff %g, "
                               "which drops U_1 f's mass past y = x"
-                              % (x, TAIL_CUTOFF), partial=val)
+                              % (x, T), partial=val)
+    dropped = abs(fv(T)) * (_rem(alpha, T - x, "A")
+                            - math.exp(-x) * F_remainders(alpha, T, "B"))
+    if not dropped <= 100.0 * REL_TOL * abs(val):
+        raise EvaluationError("the tail cutoff %g drops about %.3g of U_1 f"
+                              "(%g) = %.6g" % (T, dropped, x, val),
+                              partial=val, bound=dropped)
     return val
 
 

@@ -18,7 +18,9 @@ Branch layout for the exponential-scale family F_alpha:
       A, B, C = (-1)^d (|s|/pi) int_0^inf v^(alpha-1+d) e^(-x v) / Q(v) dv
 
   for d = 0, 1, 2 (Gorenflo, Loutchko & Luchko, Fract. Calc. Appl. Anal. 5
-  (2002)); the integrand is positive, so nothing cancels.
+  (2002)); the integrand is positive, so nothing cancels.  Only e^(-x v)
+  depends on x, so every x of [3, 30] shares one tanh-sinh node table per
+  (alpha, d), built once in t = log v and kept in a bounded cache.
 
 F_family also takes an ndarray of x > 0, the node arrays of the vectorized
 quadrature rule.  It sums the same positive series there as one log-space
@@ -28,6 +30,7 @@ level of shares s in (0, 1] as one matrix product, the form of a
 convolution's nodes on [0, x_i].
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -36,7 +39,7 @@ from scipy.special import gammaln
 
 from .errors import DomainError, EvaluationError, RootNotFoundError
 from .gammafn import cospi, gamma, rgamma, sinpi
-from .quadrature import REL_TOL, adaptive_quad
+from .quadrature import _TS_LEVELS, REL_TOL, adaptive_quad
 
 # Series/asymptotic switch for F_alpha (argument x scale) and the point where
 # remainder evaluation moves from the Laplace integral to the asymptotic tail.
@@ -155,13 +158,20 @@ def mittag_leffler(alpha, x, deriv=0):
 # Laplace integral serves them.  certbench classifies F_remainders calls by
 # both names.
 _REM_MP_FROM = 3.0
-# rel 1e-10 per panel: the integral stays within 2e-11 of a 60-digit sum
+# a level change within rel 1e-10 of the whole integral: the value stays
+# within 3e-14 of _rem_series_mp's
 _REM_TOL = REL_TOL * 0.01
 # half-width of the theta panel around 1/Q's peak, in v^alpha - c: 100 |s|
 # covers the peak, and at least 1e-4 keeps v^alpha - c, rounded in float,
-# accurate to 1e-12 relative on the v panels beside it
+# accurate to 1e-12 relative on the t panels beside it
 _PEAK_PANEL = 100.0
 _PEAK_FLOOR = 1e-4
+# t = log v runs from _T_LOW - 40/(alpha + d), where the integrand's share
+# below is at most e^-40 at x <= 30, to log 20, where e^(-x v) <= e^-60
+_T_LOW = -math.log(REM_SWITCH)
+_T_HIGH = math.log(20.0)
+_REM_TABLE_CACHE_SIZE = 32   # node tables kept, one per (alpha, d)
+_TS_STEPS = np.array([h for h, _, _, _ in _TS_LEVELS])
 
 
 def _rem_series_mp(alpha, x, which):
@@ -190,48 +200,87 @@ def _rem_series_mp(alpha, x, which):
         return float(total - mp.e ** xm / am)
 
 
-def _rem_integral(alpha, x, d):
-    """The remainder A, B or C (d = 0, 1, 2) at x > 0 as the Laplace integral
-
-        (-1)^d (|s|/pi) int_0^inf v^(alpha-1+d) e^(-x v) / Q(v) dv,
-
-    s = sin(pi alpha), c = cos(pi alpha), Q(v) = (v^alpha - c)^2 + s^2.
-
-    Away from 1/Q's peak the integrand is taken in u = x v, where it is
-    u^(alpha-1+d) e^(-u) / Q(u/x), of order one.  For c > 0 (alpha > 3/2)
-    1/Q peaks at v0 = c^(1/alpha) with width about |s|/alpha; on the panel
-    |v^alpha - c| <= w, w <= c/2, the substitution v^alpha - c =
-    |s| tan(theta) turns v^(alpha-1) dv / Q into dtheta / (alpha |s|), and
-    e^(-x v0) is taken out, so no panel sinks under the quadrature's
-    absolute floor.
-    """
+@functools.lru_cache(maxsize=_REM_TABLE_CACHE_SIZE)
+def _rem_table(alpha, d):
+    """The tanh-sinh nodes v and weights of _rem_integral at (alpha, d),
+    every panel's nodes of a level together, coarsest level first, and the
+    offset of each level in them.  A weight holds everything of the
+    integrand but e^(-x v): the sign (-1)^d, the panel's width and the
+    rest of the density in the panel's variable."""
     ms, c = -sinpi(alpha), cospi(alpha)
-    p = alpha - 1.0 + d
-    sign = -1.0 if d == 1 else 1.0
-    scale = ms / math.pi * x ** -(alpha + d)
+    ia = 1.0 / alpha
+    t_low = _T_LOW - 40.0 / (alpha + d)
 
-    def v_form(u):
-        va = (u / x) ** alpha
-        return u ** p * math.exp(-u) / ((va - c) ** 2 + ms * ms)
+    def t_density(t):
+        v = np.exp(t)
+        return v, ms / math.pi * v ** (alpha + d) / ((v ** alpha - c) ** 2
+                                                    + ms * ms)
 
     if c <= 0.0:
         # Q >= 1 increases with v: no peak
-        val, _ = adaptive_quad(v_form, 0.0, math.inf, _REM_TOL)
-        return sign * scale * val
-    ia = 1.0 / alpha
-    v0 = c ** ia
-    w = min(max(_PEAK_PANEL * ms, _PEAK_FLOOR), 0.5 * c)
+        panels = [(t_low, 0.0, t_density), (0.0, _T_HIGH, t_density)]
+    else:
+        w = min(max(_PEAK_PANEL * ms, _PEAK_FLOOR), 0.5 * c)
+        th = math.atan(w / ms)
 
-    def theta_form(th):
-        v = (c + ms * math.tan(th)) ** ia
-        return v ** d * math.exp(-x * (v - v0))
+        def theta_density(theta):
+            v = (c + ms * np.tan(theta)) ** ia
+            return v, v ** d / (alpha * math.pi)
 
-    below, _ = adaptive_quad(v_form, 0.0, x * (c - w) ** ia, _REM_TOL)
-    above, _ = adaptive_quad(v_form, x * (c + w) ** ia, math.inf, _REM_TOL)
-    th = math.atan(w / ms)
-    peak, _ = adaptive_quad(theta_form, -th, th, _REM_TOL)
-    return sign * (scale * (below + above)
-                   + math.exp(-x * v0) / (alpha * math.pi) * peak)
+        below = ia * math.log(c - w)
+        panels = [(-th, th, theta_density),
+                  (ia * math.log(c + w), _T_HIGH, t_density)]
+        # just above alpha = 3/2 the theta panel may reach below t_low
+        if below > t_low:
+            panels.append((t_low, below, t_density))
+    sign = -1.0 if d == 1 else 1.0
+    nodes, weights, starts = [], [], []
+    for _, pa, _, wt in _TS_LEVELS:
+        starts.append(sum(v.size for v in nodes))
+        for a, b, density in panels:
+            v, f = density(a + (b - a) * pa)
+            nodes.append(v)
+            weights.append(sign * (b - a) * wt * f)
+    table = np.concatenate(nodes), np.concatenate(weights), np.array(starts)
+    for arr in table:
+        arr.setflags(write=False)
+    return table
+
+
+def _rem_integral(alpha, x, d):
+    """The remainder A, B or C (d = 0, 1, 2) at x in [3, 30] as the Laplace
+    integral
+
+        (-1)^d (|s|/pi) int_0^inf v^(alpha-1+d) e^(-x v) / Q(v) dv,
+
+    s = sin(pi alpha), c = cos(pi alpha), Q(v) = (v^alpha - c)^2 + s^2,
+    on one tanh-sinh node table per (alpha, d) from _rem_table.
+
+    The integrand is taken in t = log v from -log 30 - 40/(alpha + d) to
+    log 20, split at v = 1 for c <= 0.  For c > 0 (alpha > 3/2) 1/Q peaks
+    at v0 = c^(1/alpha) with width about |s|/alpha; on the panel
+    |v^alpha - c| <= w, w <= c/2, the substitution v^alpha - c =
+    |s| tan(theta) turns v^(alpha-1) dv / Q into dtheta / (alpha |s|), with
+    t panels on each side.  Only e^(-x v) depends on x, so a call sums
+    e^(-x v) times the weights level by level and returns the first level
+    whose change from the one before is within _REM_TOL of its value.  The
+    test is relative only: the integrand is positive, and the values fall
+    to 6e-14 (at alpha = 2 - 1e-9, x = 30), below any absolute floor.
+    Past the last level it raises EvaluationError.
+    """
+    if not _REM_MP_FROM <= x <= REM_SWITCH:
+        raise DomainError("_rem_integral requires x in [3, 30]")
+    nodes, weights, starts = _rem_table(float(alpha), d)
+    sums = np.add.reduceat(np.exp(-x * nodes) * weights, starts)
+    vals = _TS_STEPS * np.cumsum(sums)
+    changes = np.abs(vals[1:] - vals[:-1])
+    done = changes <= _REM_TOL * np.abs(vals[1:])
+    if not done.any():
+        raise EvaluationError(
+            "tanh-sinh remainder %.3g with level change %.3g is outside the "
+            "tolerance budget" % (vals[-1], changes[-1]),
+            partial=float(vals[-1]), bound=float(changes[-1]))
+    return float(vals[1 + np.argmax(done)])
 
 
 def F_remainders(alpha, x, which):

@@ -8,8 +8,8 @@ from fracstable.dist import (_valpha_density, iminus_laplace, iminus_pdf,
                              iminus_tail_integral, kernel_apply)
 from fracstable.errors import DomainError, EvaluationError
 from fracstable.quadrature import adaptive_quad
-from fracstable.resolvent import (lambda_f, rep_pointwise, u1_apply,
-                                  u1_density, u1_mass, uhat1_apply,
+from fracstable.resolvent import (_u1_integral, lambda_f, rep_pointwise,
+                                  u1_apply, u1_density, u1_mass, uhat1_apply,
                                   u1_resolvent_function, uhat1_density,
                                   uhat1_mass, uhat1_resolvent_function)
 from fracstable.specfun import F_family, F_remainders, mittag_leffler
@@ -163,10 +163,14 @@ def test_u1_apply_runs_and_is_positive():
 def test_u1_apply_raises_where_the_tail_cutoff_drops_its_mass():
     # u1(x, .) keeps most of its mass on [x, x + 30]; once that window
     # passes the cutoff y = 1000, the truncated integral is garbage
-    # (1.7e-50 at x = 1100, where f is 8.3e-7)
+    # (1.7e-50 at x = 1100, where f is 8.3e-7).  Further in, f(1000) times
+    # the density's mass past the cutoff estimates what it drops: against
+    # the integral cut at y = 1e6, x = 100 is off by 4.7e-8 and x = 900,
+    # which used to return, by 1.9e-4
     slow = REGISTRY["cauchy2"]
-    assert u1_apply(slow, 1.5, 900.0) > 0.0
-    for x in (999.0, 1100.0):
+    far = _u1_integral(slow.eval_f, 1.5, 100.0, 1e6)
+    assert u1_apply(slow, 1.5, 100.0) == pytest.approx(far, rel=1e-6)
+    for x in (900.0, 999.0, 1100.0):
         with pytest.raises(EvaluationError, match="tail cutoff") as exc:
             u1_apply(slow, 1.5, x)
         assert math.isfinite(exc.value.partial)

@@ -1,12 +1,15 @@
 import itertools
 import math
+import sys
 
 import numpy as np
 import pytest
 
+from fracstable import specfun
 from fracstable.errors import DomainError, EvaluationError, RootNotFoundError
 from fracstable.specfun import (F_family, F_remainders, GeneralIndex,
-                                _F_rows, _rem_integral, _rem_series_mp, ml_jet,
+                                _F_rows, _rem_integral, _rem_series_mp,
+                                _rem_table, ml_jet,
                                 mittag_leffler, psi, psi_general,
                                 psi_integral, theta_root)
 
@@ -261,6 +264,61 @@ def test_rem_series_mp_matches_rem_integral():
             for d in range(3):
                 assert _rem_series_mp(a, x, "ABC"[d]) == pytest.approx(
                     _rem_integral(a, x, d), rel=1e-10)
+
+
+def test_rem_integral_matches_rem_series_mp_to_1e_12(monkeypatch):
+    # both sides of the theta panel (alpha > 3/2), its 3e-9 wide peak at
+    # alpha = 2 - 1e-9, where the values fall to 6e-14, and the F_SWITCH
+    # and REM_SWITCH edges
+    alphas = (1.0 + 1e-6, 1.02, 1.05, 1.2, 1.5, 1.8, 1.95, 1.99, 2.0 - 1e-6,
+              2.0 - 1e-9)
+    xs = (3.0, 3.1, 4.0, 6.0, 9.1, 12.0, 15.0, 20.0, 24.99, 25.01, 29.0,
+          29.999)
+    for a in alphas:
+        for x in xs:
+            for d in range(3):
+                assert _rem_integral(a, x, d) == pytest.approx(
+                    _rem_series_mp(a, x, "ABC"[d]), rel=1e-12), (a, x, d)
+    for x in (2.9, 30.1):
+        with pytest.raises(DomainError):
+            _rem_integral(1.5, x, 0)
+    # no level change passes a negative tolerance: the last level's value
+    # comes back as partial
+    value = _rem_integral(1.8, 10.0, 1)
+    monkeypatch.setattr(specfun, "_REM_TOL", -1.0)
+    with pytest.raises(EvaluationError) as exc:
+        _rem_integral(1.8, 10.0, 1)
+    assert exc.value.partial == pytest.approx(value, rel=1e-13)
+    assert 0.0 <= exc.value.bound <= 1e-12 * abs(value)
+
+
+def test_rem_tables_are_bounded_read_only_and_thread_safe():
+    from concurrent.futures import ThreadPoolExecutor
+
+    for arr in _rem_table(1.8, 1):
+        assert not arr.flags.writeable
+    assert _rem_table.cache_info().maxsize is not None
+    # alphas no other test uses, so every table is built under the threads;
+    # each thread starts at a different x of the first alpha, so all four
+    # ask for its three tables at once
+    calls = [(a, x, w) for a in (1.31, 1.47, 1.63, 1.97)
+             for x in (3.0, 7.5, 16.0, 29.5) for w in "ABC"]
+
+    def run(shift):
+        return {c: F_remainders(*c) for c in calls[shift:] + calls[:shift]}
+
+    _rem_table.cache_clear()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            futures = [pool.submit(run, shift) for shift in (0, 3, 6, 9)]
+            threaded = [f.result(timeout=60) for f in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    _rem_table.cache_clear()
+    serial = run(0)
+    assert all(vals == serial for vals in threaded)
 
 
 def _derivative_stack(alpha, x, n_max):
