@@ -457,16 +457,17 @@ def valpha_sample(alpha, n, seed):
 # the multiplicative kernel V_alpha f(x) = E[f(x V_alpha)]
 #
 # Both kernel integrals run on the tanh-sinh rule, one array of nodes per
-# level.  The t < 1 part of the density is taken under t = s^{1/(alpha-1)},
-# which leaves a bounded integrand.  The t > 1 part is split where the
-# physical argument x t crosses 1: the kernel's transition and f's own
-# scale then each sit at an end of a panel, however far apart they are.
+# node block of the rule.  The t < 1 part of the density is taken under
+# t = s^{1/(alpha-1)}, which leaves a bounded integrand.  The t > 1 part is
+# split where the physical argument x t crosses 1: the kernel's transition
+# and f's own scale then each sit at an end of a panel, however far apart
+# they are.
 
 def kernel_apply(f, alpha, x, tol=REL_TOL):
     """E[f(x V_alpha)] by singularity-adapted quadrature.
 
-    f (or f.eval_f) is called once per level of the rule, on an array of
-    arguments, and must return an array of that shape (or a scalar).
+    f (or f.eval_f) is called once per node block of the rule, on an array
+    of arguments, and must return an array of that shape (or a scalar).
     """
     alpha = _alpha_of(alpha)
     if not x >= 0.0:
@@ -492,7 +493,7 @@ def kernel_apply_d2(f, alpha, x):
     """(V_alpha f)''(x) = E[V_alpha^2 f''(x V_alpha)] for f in the domain D.
 
     x is a float or an array of them, and the value has its shape; f.eval_f2
-    is called once per level of the rule on a matrix with one row per
+    is called once per node block of the rule on a matrix with one row per
     entry of x.  Defined for finite x > 0 only: at x = 0 it would be
     E[V_alpha^2] f''(0), which diverges, because V_alpha has moments only
     of order s < alpha < 2.  As x -> 0 it grows like x^{alpha-2}, finite

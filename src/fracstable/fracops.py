@@ -36,7 +36,7 @@ class SmoothTestFunction:
 
     eval_f, eval_f1 and eval_f2 each take a float or an ndarray of floats
     and return a value of the same shape: the operator cores call them
-    once per quadrature level on a whole array of nodes.
+    once per node block of the quadrature rule, a whole array of nodes.
 
     decay_gamma certifies x^gamma (|f| + |f''|) -> 0; the sampled check
     requires the product to be non-increasing across the probe points and
@@ -96,7 +96,7 @@ def is_in_domain_D(f, alpha):
 
 def _caputo_core(d2, alpha, x, tol):
     """int_0^x d2(u) (x-u)^{1-a} du / G(2-a) with its error estimate, d2
-    called once per level on the nodes of both panels.
+    called once per node block of the rule, on the nodes of both panels.
 
     A panel may settle on tanh_sinh's absolute floor, which says nothing of
     a small value's relative accuracy.  So, as for adaptive_quad, the

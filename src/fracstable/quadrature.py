@@ -4,9 +4,10 @@ One relative tolerance sets each integral (nested layers scale REL_TOL),
 and improper integrals stop at TAIL_CUTOFF, their callers bounding the
 rest.  tanh_sinh, a fixed nested rule over node arrays, serves the kernel
 V_alpha, the fractional-operator cores, the resolvent convolutions, M_f
-and Uhat_1 f with its mass: their integrands take a whole level of nodes
-at a time, and with arrays of endpoints a whole family of integrals at
-once, one matrix per level.  Its level tables _TS_LEVELS also give the
+and Uhat_1 f with its mass: their integrands take a whole block of nodes
+at a time, the first call the 65 nodes of levels 0-3 and each later call
+one level's, and with arrays of endpoints a whole family of integrals at
+once, one matrix per call.  Its level tables _TS_LEVELS also give the
 node tables of specfun's remainder integrals.  adaptive_quad, scipy's
 adaptive Gauss-Kronrod, serves the rest: moments, the V_alpha tables,
 lambda_f, and U_1 f with its mass.
@@ -74,13 +75,45 @@ def _tanh_sinh_levels():
 _TS_LEVELS = _tanh_sinh_levels()
 
 
+def _tanh_sinh_blocks():
+    """The levels of _TS_LEVELS in the blocks that tanh_sinh evaluates at
+    one integrand call each: levels 0-3 together (65 nodes), then one block
+    per level.  Per block: its nodes' shares from a and from b, and per
+    level its step, the slice of the block holding its nodes and their
+    weights."""
+    blocks = []
+    for group in [_TS_LEVELS[:4]] + [[lv] for lv in _TS_LEVELS[4:]]:
+        ends = np.cumsum([0] + [pa.size for _, pa, _, _ in group])
+        pa, pb = (np.concatenate([lv[i] for lv in group]) for i in (1, 2))
+        pa.setflags(write=False)
+        pb.setflags(write=False)
+        blocks.append((pa, pb, tuple(
+            (h, slice(i, j), w)
+            for (h, _, _, w), i, j in zip(group, ends[:-1], ends[1:]))))
+    return tuple(blocks)
+
+
+_TS_BLOCKS = _tanh_sinh_blocks()
+
+
 def tanh_sinh_nodes(a, b):
-    """Yield each level's new nodes of tanh_sinh on [a, b], coarsest first,
-    as (distance from a, distance from b) array pairs.  For arrays a and b
-    of one shape, each array of the pair has one row of nodes per entry."""
+    """Yield the nodes of tanh_sinh on [a, b] in the blocks it calls its
+    integrand on, coarsest first: levels 0-3 together, then each later
+    level's new nodes, as (distance from a, distance from b) array pairs.
+    For arrays a and b of one shape, each array of the pair has one row of
+    nodes per entry."""
     d = np.subtract(b, a)
-    for _, pa, pb, _ in _TS_LEVELS:
+    for pa, pb, _ in _TS_BLOCKS:
         yield np.multiply.outer(d, pa), np.multiply.outer(d, pb)
+
+
+def _level_values(fun, a, b):
+    """Yield each level's step, weights and integrand values, coarsest
+    first, calling fun once per block of tanh_sinh_nodes."""
+    for (_, _, levels), (da, db) in zip(_TS_BLOCKS, tanh_sinh_nodes(a, b)):
+        vals = fun(da, db)
+        for h, sl, w in levels:
+            yield h, w, vals[..., sl]
 
 
 def tanh_sinh(fun, a, b, tol):
@@ -89,7 +122,10 @@ def tanh_sinh(fun, a, b, tol):
 
     fun(da, db) takes the arrays of the nodes' distances from a and from b,
     so that b - t is never formed by subtraction; it is called once per
-    level with that level's new nodes, in the order of tanh_sinh_nodes.
+    block of tanh_sinh_nodes, first on the nodes of levels 0-3 together,
+    then on each later level's new nodes.  The levels are nested, so the
+    rule still adds them and tests the change one level at a time, and
+    returns at the first level within budget.
     Endpoint singularities such as u^(alpha-1) cost no extra nodes; one
     like u^-p is resolved to double precision for p up to about 1/2.  The
     error estimate is the change from the previous level, accepted within
@@ -111,8 +147,8 @@ def tanh_sinh(fun, a, b, tol):
     floor = tol / 1e4
     total = 0.0
     val = err = math.nan
-    for (h, _, _, w), (da, db) in zip(_TS_LEVELS, tanh_sinh_nodes(a, b)):
-        total += float(np.dot(w, fun(da, db)))
+    for h, w, vals in _level_values(fun, a, b):
+        total += float(np.dot(w, vals))
         prev, val = val, (b - a) * h * total
         err = abs(val - prev)
         if not math.isfinite(val):
@@ -130,18 +166,17 @@ def _tanh_sinh_rows(fun, a, b, tol):
     width = b - a
     total = np.zeros(width.shape)
     val = err = np.full(width.shape, math.nan)
-    for (h, _, _, w), (da, db) in zip(_TS_LEVELS, tanh_sinh_nodes(a, b)):
-        # a non-finite value raises below, so numpy's warning is noise
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            total += fun(da, db) @ w
-        prev, val = val, width * h * total
-        err = np.abs(val - prev)
-        if not np.all(np.isfinite(val)):
-            break
-        if np.all(err <= np.maximum(floor, tol * np.abs(val))):
-            return val, err
-    # the worst row: a non-finite one, else the one furthest over budget
-    with np.errstate(invalid="ignore"):
+    # a non-finite value raises below, so numpy's warning is noise
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for h, w, vals in _level_values(fun, a, b):
+            total += vals @ w
+            prev, val = val, width * h * total
+            err = np.abs(val - prev)
+            if not np.isfinite(val).all():
+                break
+            if (err <= np.maximum(floor, tol * np.abs(val))).all():
+                return val, err
+        # the worst row: a non-finite one, else the one furthest over budget
         over = np.where(np.isfinite(val),
                         err / np.maximum(floor, tol * np.abs(val)), np.inf)
     i = np.unravel_index(np.argmax(over), over.shape)

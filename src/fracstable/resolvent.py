@@ -10,17 +10,18 @@ from x = 30 (REM_SWITCH) up; the quadratures here put panel edges or
 breakpoints at both switches, where the remainders change branch.
 
 Every integral but lambda_f and those of u1_apply and u1_mass runs on the
-row form of the tanh-sinh rule, its integrand taking a level of nodes
-whole.  uhat1_apply and uhat1_mass integrate uhat1_density on one row per
-panel, whose remainder B is F_family's array series minus e^x/alpha below
-x = 3.  The resolvents Uhat_1 f and U_1 f as test functions are
-convolutions of F' with f, evaluated at a whole array of x at once, as the
-operator cores pass a level of nodes: one row of nodes per x and _ROWS
-rows per call, with F' at each level's nodes from specfun's rows kernel
-and f taking the level's matrix of nodes; a float x is a one-entry array.
-The cross term's F' values on [0, 50] are the same at every x, so each
-U_1 f computes them once, as does M_f, on two rows.  lambda_f, u1_apply
-and u1_mass stay on adaptive_quad over the scalar densities.
+row form of the tanh-sinh rule, its integrand taking a block of nodes
+whole: levels 0-3 at the first call, one level at each later call.
+uhat1_apply and uhat1_mass integrate uhat1_density on one row per panel,
+whose remainder B is F_family's array series minus e^x/alpha below x = 3.
+The resolvents Uhat_1 f and U_1 f as test functions are convolutions of F'
+with f, evaluated at a whole array of x at once, as the operator cores
+pass a block of nodes: one row of nodes per x and _ROWS rows per call,
+with F' at each call's nodes from specfun's rows kernel and f taking the
+call's matrix of nodes; a float x is a one-entry array.  The cross term's
+F' values on [0, 50] are the same at every x, so each U_1 f computes them
+once, as does M_f, on two rows.  lambda_f, u1_apply and u1_mass stay on
+adaptive_quad over the scalar densities.
 """
 
 import math
@@ -300,7 +301,7 @@ def u1_resolvent_function(f, alpha):
     alpha = _alpha_of(alpha)
     cut = 50.0  # F'' e^y growth crushed by the superexponential decay of f
     mf = _m_f(f, alpha, cut)
-    # F' at the nodes of [0, cut], level by level: the same for every x
+    # F' at the nodes of [0, cut], block by block: the same for every x
     fp_nodes = tuple(_F_rows(alpha, np.array([cut]), pa, 1)[0]
                      for pa, _ in tanh_sinh_nodes(0.0, 1.0))
     fp_cut = F_family(alpha, cut, 1)

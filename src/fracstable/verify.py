@@ -65,7 +65,8 @@ def _finish(name, alpha, params, residuals, tolerance, t0, seed=None):
 def check_intertwining(f, alpha, x_grid):
     """Residuals of  Delta^a_+ V_a f  =  V_a D^a_- f  on the grid.
 
-    Each side is a few matrix products per quadrature level: the left side
+    Each side is a few matrix products per call of the quadrature rule on
+    a block of nodes, levels 0-3 at the first call: the left side
     evaluates (V_a f)'' at every node of the Caputo panels at once, the
     right side D^a_- f at every node of the kernel's panels at once."""
     t0 = time.perf_counter()

@@ -1,0 +1,29 @@
+"""The certificates near both ends of the alpha range.
+
+Most tests hold a certificate at alpha in {1.2, 1.5, 1.8}.  Here each runs
+on a short fixed grid at alphas within 0.1 of 1 and of 2, where the
+substitution exponents 1/(alpha - 1) and 1/(2 - alpha) reach 100.  Every
+case must pass or raise a FracstableError, never return a silent value.
+"""
+
+import pytest
+
+from fracstable.errors import FracstableError
+from fracstable.testfuncs import REGISTRY
+from fracstable.verify import check_intertwining
+
+ALPHAS = (1.01, 1.02, 1.05, 1.1, 1.9, 1.95, 1.98, 1.99)
+
+
+@pytest.mark.parametrize("alpha", ALPHAS)
+@pytest.mark.parametrize("name", ["gauss", "cauchy2", "x2exp"])
+def test_intertwining_passes_or_raises(name, alpha):
+    # cauchy2 decays only like x^-2, and at alpha <= 1.1 its improper
+    # tails raise EvaluationError; gauss and x2exp pass at every alpha
+    try:
+        rep = check_intertwining(REGISTRY[name], alpha, [0.5, 2.0])
+    except FracstableError:
+        if name == "cauchy2":
+            return
+        raise
+    assert rep.passed, (name, alpha, rep.max_abs_residual)

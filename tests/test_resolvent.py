@@ -7,7 +7,7 @@ import pytest
 from fracstable.dist import (_valpha_density, iminus_laplace, iminus_pdf,
                              iminus_tail_integral, kernel_apply)
 from fracstable.errors import DomainError, EvaluationError
-from fracstable.quadrature import adaptive_quad
+from fracstable.quadrature import TAIL_CUTOFF, adaptive_quad
 from fracstable.resolvent import (_u1_integral, lambda_f, rep_pointwise,
                                   u1_apply, u1_density, u1_mass, uhat1_apply,
                                   u1_resolvent_function, uhat1_density,
@@ -165,11 +165,20 @@ def test_u1_apply_raises_where_the_tail_cutoff_drops_its_mass():
     # passes the cutoff y = 1000, the truncated integral is garbage
     # (1.7e-50 at x = 1100, where f is 8.3e-7).  Further in, f(1000) times
     # the density's mass past the cutoff estimates what it drops: against
-    # the integral cut at y = 1e6, x = 100 is off by 4.7e-8 and x = 900,
-    # which used to return, by 1.9e-4
+    # the integral to y = 1e6, x = 100 is off by 4.7e-8 and x = 900, which
+    # used to return, by 1.9e-4.  The reference is the integral cut at the
+    # cutoff plus QUADPACK on [1e3, 1e6] in log y: one adaptive_quad panel
+    # out to 1e6 settles 4.6e-5 off at x = 10
+    from scipy.integrate import quad
+
     slow = REGISTRY["cauchy2"]
-    far = _u1_integral(slow.eval_f, 1.5, 100.0, 1e6)
-    assert u1_apply(slow, 1.5, 100.0) == pytest.approx(far, rel=1e-6)
+    x = 100.0
+    near = _u1_integral(slow.eval_f, 1.5, x, TAIL_CUTOFF)
+    far, _ = quad(lambda s: u1_density(1.5, x, math.exp(s))
+                  * slow.eval_f(math.exp(s)) * math.exp(s),
+                  math.log(TAIL_CUTOFF), math.log(1e6),
+                  epsabs=0.0, epsrel=1e-10, limit=200)
+    assert u1_apply(slow, 1.5, x) == pytest.approx(near + far, rel=1e-6)
     for x in (900.0, 999.0, 1100.0):
         with pytest.raises(EvaluationError, match="tail cutoff") as exc:
             u1_apply(slow, 1.5, x)
