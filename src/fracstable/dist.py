@@ -21,6 +21,7 @@ from .specfun import _alpha_of
 _BLOCK = 1 << 16          # sub-stream block length for parallel-safe sampling
 _TABLE_NODES = 1 << 10    # inverse-CDF table resolution for V_alpha
 _TABLE_CACHE_SIZE = 8     # V_alpha tables kept, one per alpha
+_CELLS = 1 << 14          # equal cells of u that index the table's intervals
 _FAR = 1e150              # t^alpha <= _FAR keeps pi t^{2 alpha} finite
 
 
@@ -336,15 +337,20 @@ def _block_rng(seed, block):
 
 
 def _blocked(n, seed, draw_block):
-    """Assemble n draws from fixed-size sub-stream blocks."""
-    return np.concatenate([draw_block(_block_rng(seed, block), _BLOCK)
-                           for block in range(-(-n // _BLOCK))])[:n]
+    """Assemble n draws from sub-streams of _BLOCK draws each:
+    draw_block(rng, m) returns the first m draws of a whole block's stream,
+    with m < _BLOCK only in the last block, so that block transforms only
+    the draws it keeps and a shorter run is a prefix of a longer one."""
+    return np.concatenate([draw_block(_block_rng(seed, block),
+                                      min(_BLOCK, n - block * _BLOCK))
+                           for block in range(-(-n // _BLOCK))])
 
 
 def _positive_stable_block(alpha, rng, m):
-    # Kanter's representation for the index theta = 1/alpha in (1/2, 1)
+    # Kanter's representation for the index theta = 1/alpha in (1/2, 1);
+    # a whole block of uniforms keeps the exponentials at their offset
     th = 1.0 / alpha
-    u = rng.random(m)
+    u = rng.random(_BLOCK)[:m]
     u = np.clip(u, 1e-16, 1.0 - 1e-16)
     e = rng.standard_exponential(m)
     a = (np.sin(th * math.pi * u) ** th
@@ -382,8 +388,9 @@ def stable_increment_sample(alpha, n, seed):
     alpha = _alpha_of(alpha)
     if n < 1:
         raise DomainError("n must be >= 1")
-    return _blocked(n, seed,
-                    lambda rng, m: _stable_increment_block(alpha, rng, m))
+    # whole blocks: a block's exponentials follow all of its uniforms
+    return _blocked(n, seed, lambda rng, m:
+                    _stable_increment_block(alpha, rng, _BLOCK)[:m])
 
 
 def xhat_sample(alpha, n, seed):
@@ -401,7 +408,10 @@ def _valpha_table(alpha):
 
 @functools.lru_cache(maxsize=_TABLE_CACHE_SIZE)
 def _valpha_table_at(alpha):
-    """Inverse-CDF table of V_alpha, kept for the most recent alphas."""
+    """Inverse-CDF table of V_alpha, kept for the most recent alphas: the
+    CDF at _TABLE_NODES Chebyshev nodes t = w/(1-w), PCHIP coefficients of
+    w against it, and for each of _CELLS equal cells of u the PCHIP
+    interval that holds the whole cell, or -1 where a node splits it."""
     n = _TABLE_NODES
     j = np.arange(n)
     w = 0.5 * (1.0 - np.cos(math.pi * (j + 0.5) / n))  # Chebyshev on (0,1)
@@ -419,20 +429,48 @@ def _valpha_table_at(alpha):
     for i in range(1, n):
         seg, _ = adaptive_quad(pdf, t[i - 1], t[i])
         cdf[i] = cdf[i - 1] + seg
-    if not np.all(np.diff(cdf) > 0.0) or cdf[-1] >= 1.0:
+    if not np.all(np.diff(cdf) > 0.0):
         raise SamplerError("V_alpha CDF table is not strictly monotone")
-    inv = PchipInterpolator(cdf, w, extrapolate=False)
-    return {"cdf": cdf, "w": w, "inv": inv, "k": k}
+    if cdf[-1] >= 1.0:
+        raise SamplerError(f"V_alpha CDF table reaches {cdf[-1]:.17g} >= 1 "
+                           "at its last node")
+    c = PchipInterpolator(cdf, w).c
+    first = np.clip(np.searchsorted(cdf, np.arange(_CELLS + 1) / _CELLS,
+                                    "right") - 1, 0, n - 2)
+    cell = np.where(first[1:] == first[:-1], first[:-1], -1)
+    for arr in (cdf, w, c, cell):
+        arr.setflags(write=False)
+    return {"cdf": cdf, "w": w, "c": c, "cell": cell, "k": k}
+
+
+def _valpha_inverse(table, u):
+    """The PCHIP inverse CDF w at u in [cdf[0], cdf[-1]]: the interval from
+    u's cell, or by search where a node splits the cell, and the cubic in
+    scipy PPoly's own operation order, so that w is bitwise
+    PchipInterpolator(cdf, w)(u)."""
+    cdf, c = table["cdf"], table["c"]
+    i = table["cell"][(u * _CELLS).astype(np.intp)]
+    split = i < 0
+    i[split] = np.clip(np.searchsorted(cdf, u[split], "right") - 1,
+                       0, cdf.size - 2)
+    s = u - cdf[i]
+    z = s * s
+    res = c[3, i] + c[2, i] * s
+    res += c[1, i] * z
+    res += c[0, i] * (z * s)
+    return res
 
 
 def _valpha_block(alpha, table, rng, m):
+    """m draws of V_alpha from m uniforms: the table's inverse CDF between
+    its first and last CDF values, the analytic head and tail outside."""
     u = rng.random(m)
     u = np.clip(u, 1e-16, 1.0 - 1e-16)
     out = np.empty(m)
     lo, hi = table["cdf"][0], table["cdf"][-1]
     k = table["k"]
     mid = (u >= lo) & (u <= hi)
-    wmid = table["inv"](u[mid])
+    wmid = _valpha_inverse(table, u[mid])
     out[mid] = wmid / (1.0 - wmid)
     small = u < lo   # analytic head inversion C(t) ~ k t^{a-1}/(a-1)
     out[small] = ((alpha - 1.0) * u[small] / k) ** (1.0 / (alpha - 1.0))

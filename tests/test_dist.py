@@ -1,12 +1,16 @@
+import hashlib
+import json
 import math
 
 import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
+from scipy.interpolate import PchipInterpolator
 
 from fracstable.dist import (_FAR, _valpha_density, _valpha_far,
-                             _valpha_smooth, _valpha_table_at, c_alpha,
+                             _valpha_inverse, _valpha_smooth, _valpha_table,
+                             _valpha_table_at, c_alpha,
                              iminus_laplace, iminus_moment, iminus_pdf,
                              iminus_tail_integral,
                              kernel_apply, kernel_apply_d2, mom_V, mom_X,
@@ -19,6 +23,7 @@ from fracstable.pathsim import PathConfig, Reflect, simulate_reflected
 from fracstable.gammafn import cospi, sinpi
 from fracstable.quadrature import TAIL_CUTOFF, adaptive_quad
 from fracstable.testfuncs import REGISTRY
+from fracstable.verify import check_identity_law
 
 ALPHAS = (1.2, 1.5, 1.8)
 GAUSS = REGISTRY["gauss"]
@@ -302,6 +307,58 @@ def test_samplers_deterministic_and_prefix_stable():
         np.testing.assert_array_equal(short, a[:500])
         other = make(1.5, 2000, 8)
         assert not np.array_equal(other, a)
+        # across the edge of the first 65536-draw sub-stream block
+        np.testing.assert_array_equal(make(1.5, 65537, 7),
+                                      make(1.5, 100_000, 7)[:65537])
+
+
+# SHA-256 of the little-endian float64 draws at seed 5, over alpha in
+# (1.2, 1.5, 1.8) and then n in (1, 1000, 65536, 65537, 100000)
+SAMPLER_DIGESTS = {
+    valpha_sample:
+        "e82ffa22da7ff0e7ddf493cbb0ff54c9bb1d4de2e0c98748e50e6a8c9170996a",
+    xhat_sample:
+        "9dd3bce5ce4bee52c9c44cc611b974c0ccb51d038c772963c98cf2330f1d0da3",
+    positive_stable_sample:
+        "8071687267749ef2cd1174e6de2f41e42435092eed3cd7718cd2f072b3f096f4",
+    stable_increment_sample:
+        "fb719e1a015f7798f63c3876f9ae958694bdf4428d86c1567bc2d3e1d5c03c9a",
+}
+# SHA-256 of the sorted-key JSON of the criterion 4 report at seed 7, less
+# its runtime_ms
+IDENTITY_LAW_DIGEST = \
+    "00505c7b6bab1022203fc4769b785ac20c58b8516f911d61a41a7a055f9d7a5a"
+
+
+def test_sampler_draws_and_identity_law_report_are_byte_identical():
+    # any change to a draw, to its order or to the KS or moment arithmetic
+    # moves one of these digests
+    for make, digest in SAMPLER_DIGESTS.items():
+        h = hashlib.sha256()
+        for a in ALPHAS:
+            for n in (1, 1000, 65536, 65537, 100_000):
+                h.update(np.ascontiguousarray(make(a, n, 5), "<f8").tobytes())
+        assert h.hexdigest() == digest, make.__name__
+    rep = check_identity_law(
+        1.5, 100_000, PathConfig(1.5, 1024, 2000, 7, Reflect.AtSupremum))
+    d = rep.to_dict()
+    del d["runtime_ms"]
+    h = hashlib.sha256(json.dumps(d, sort_keys=True).encode())
+    assert h.hexdigest() == IDENTITY_LAW_DIGEST
+
+
+@pytest.mark.parametrize("alpha", [1.01, 1.05, 1.2, 1.5, 1.8, 1.98])
+def test_cell_indexed_inverse_cdf_is_bitwise_pchip(alpha):
+    table = _valpha_table(alpha)
+    cdf = table["cdf"]
+    inv = PchipInterpolator(cdf, table["w"])
+    near = np.concatenate([cdf, np.nextafter(cdf, 0.0),
+                           np.nextafter(cdf, 1.0)])
+    u = np.concatenate([np.random.default_rng(29).random(10 ** 6), near])
+    u = u[(u >= cdf[0]) & (u <= cdf[-1])]
+    assert np.isin(cdf, u).all()
+    assert (table["cell"] < 0).any()   # some draws take the searched path
+    assert (_valpha_inverse(table, u) == inv(u)).all()
 
 
 def test_sample_population_metadata():

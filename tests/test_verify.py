@@ -299,6 +299,18 @@ def test_pathsim_and_verify_ks_statistics_agree_bitwise():
     b = rng.standard_normal(2300)
     ties_a = rng.integers(0, 12, 900).astype(float)
     ties_b = rng.integers(0, 12, 1400).astype(float)
-    for x, y in ((a, b), (b, a), (ties_a, ties_b), (ties_a, ties_a[:300]),
-                 (a, b + 0.3), (a, a + 1e-9)):
+    one = np.array([0.25])
+    big = rng.standard_normal(100_000)
+    small = np.concatenate([rng.choice(big, 1000), rng.standard_normal(1000)])
+    cases = [(a, b), (ties_a, ties_b), (ties_a, ties_a[:300]),
+             (a, b + 0.3), (a, a + 1e-9),
+             (one, one), (one, a), (one, one + 1.0),   # length 1
+             (a, b + 20.0), (ties_a, ties_b - 20.0),   # wholly apart
+             (a, np.concatenate([a[:700], b])),        # shared values
+             (ties_a, np.concatenate([ties_b, a])),
+             (small, big)]                             # identity-law sizes
+    for x, y in cases:
         assert _ks_statistic(x, y) == ks_two_sample_arrays(x, y)
+        assert _ks_statistic(y, x) == ks_two_sample_arrays(y, x)
+    assert ks_two_sample_arrays(one, one + 1.0) == 1.0
+    assert ks_two_sample_arrays(a, b + 20.0) == 1.0
