@@ -3,8 +3,9 @@
 Laws covered: the kernel variable V_alpha and its companion Y_alpha, the
 cut-off Cauchy variable Z_beta, the positive (1/alpha)-stable variable T1,
 the spectrally negative stable increment Z1, the exact terminal law
-Xhat1 = T1^{-1/alpha}, and the exponential functional I_minus (series
-density, Gamma-formula moments, Mellin-residue Laplace transform).
+Xhat1 = T1^{-1/alpha}, and the exponential functional I_minus
+(Gamma-formula moments; density, tail and Laplace transform as inverse
+Mellin transforms of those moments, each a line integral on tanh_sinh).
 """
 
 import functools
@@ -12,10 +13,12 @@ import math
 
 import numpy as np
 from scipy.interpolate import PchipInterpolator
+from scipy.special import loggamma
 
 from .errors import DomainError, EvaluationError, SamplerError
 from .gammafn import gamma, rgamma, sinpi, cospi
-from .quadrature import REL_TOL, TAIL_CUTOFF, adaptive_quad, tanh_sinh
+from .quadrature import (REL_TOL, TAIL_CUTOFF, _check_cut, adaptive_quad,
+                         tanh_sinh)
 from .specfun import _alpha_of
 
 _BLOCK = 1 << 16          # sub-stream block length for parallel-safe sampling
@@ -174,7 +177,7 @@ def c_alpha(alpha):
     """Normalizing constant of the I_minus law."""
     alpha = _alpha_of(alpha)
     ia = 1.0 / alpha
-    return gamma(alpha - 1.0) / (gamma(1.0 - ia) * gamma(ia))
+    return gamma(alpha - 1.0) / (gamma((alpha - 1.0) * ia) * gamma(ia))
 
 
 def iminus_moment(alpha, s):
@@ -187,7 +190,7 @@ def iminus_moment(alpha, s):
         return 1.0
     if s == ia - 1.0:
         # Gamma(s+1-1/a)/Gamma(a(s+1)-1) -> Gamma(eps)/Gamma(a eps) -> a
-        return alpha * gamma(alpha - 1.0) / gamma(1.0 - ia)
+        return alpha * gamma(alpha - 1.0) / gamma((alpha - 1.0) * ia)
     if s == ia:
         return math.inf
     return c_alpha(alpha) * gamma(s + 1.0) * gamma(s + 1.0 - ia) \
@@ -195,136 +198,95 @@ def iminus_moment(alpha, s):
 
 
 # ---------------------------------------------------------------------------
-# I_minus: series density, tail integral, Laplace transform
+# I_minus: density, tail integral and Laplace transform
 
-_MAX_IMINUS_TERMS = 400
-_CANCEL_BUDGET = 1e12
-# The residue terms of iminus_laplace carry ~1e-14 relative error from their
-# Gamma values, so a largest term beyond 1e10 times the sum leaves the sum
-# with ~1e-4 relative error (the rep tolerance).
-_LAPLACE_CANCEL_BUDGET = 1e10
+def _iminus_mellin(alpha, gammas, log_x, k):
+    """(1/2 pi i) int x^{-s-k} G(s) ds, G(s) = E[I_minus^s] times the
+    Gamma(a + b s) of gammas, up the middle of G's strip: an inverse Mellin
+    transform (Paris & Kaminski, Asymptotics and Mellin-Barnes Integrals,
+    CUP 2001) on tanh_sinh, cut where |G| ~ e^{-(m-alpha) pi tau/2} reaches
+    e^-40 (m Gamma factors).  Where x^{-i tau} turns over 20 times up to the
+    cut (log x * cut > 128), past the rule's finest level, the line moves
+    past the poles a + n of the Gamma(a - s) to below rounding of the first
+    residue, and adds their residues.  The budget is relative;
+    EvaluationError where a value misses it (the density as t -> 0).
+    """
+    gammas += (((alpha - 1.0) / alpha, 1.0), (1.0 / alpha, -1.0))
 
+    def log_term(s, skip):
+        # log of x^{-s-k} G(s), without the factor gammas[skip]
+        return (math.log(c_alpha(alpha)) - (s + k) * log_x
+                - loggamma(alpha * (s + 1.0) - 1.0)
+                + sum(loggamma(a + b * s) for j, (a, b) in enumerate(gammas)
+                      if j != skip))
 
-def _iminus_alternating(alpha, term_fn):
-    """Kahan-compensated alternating sum with a cancellation guard."""
-    total = 0.0
-    comp = 0.0
-    peak = 0.0
-    first = 0.0
-    for n in range(_MAX_IMINUS_TERMS):
-        try:
-            t = term_fn(n)
-            if n == 0:
-                first = abs(t)
-        except OverflowError:
+    # (pole, factor, n); the line stops far short of a family's 40th pole
+    poles = sorted((a + n, j, n) for j, (a, b) in enumerate(gammas)
+                   if b < 0.0 for n in range(40))
+    c = 0.5 * (poles[0][0] + max(-a for a, b in gammas if b > 0.0))
+    cut = 80.0 / ((len(gammas) - alpha) * math.pi)
+    log_scale, n = log_term(complex(c), None).real, 0
+    if log_x * cut > 128.0:
+        log_scale = log_term(complex(poles[0][0]), poles[0][1]).real
+        for n, (p, q) in enumerate(zip(poles, poles[1:]), 1):
+            c = 0.5 * (p[0] + q[0])
+            if log_term(complex(c), None).real - log_scale \
+                    <= math.log(math.ulp(1.0) / cut):
+                break
+    # the rule's floor, REL_TOL / 1e4, is rounding of the scale
+    log_unit = log_scale + math.log(math.ulp(1.0) * 1e4 / REL_TOL)
+    residues = sum((-1) ** m * np.exp(log_term(complex(p), j) - log_unit
+                                      - math.lgamma(m + 1.0)).real
+                   for p, j, m in poles[:n])
+
+    def line(tau):
+        return np.exp(log_term(c + 1j * tau, None) - log_unit).real / math.pi
+
+    try:
+        val, err = tanh_sinh(lambda tau, _: line(tau), 0.0, cut, REL_TOL)
+        _check_cut(line(cut), val, REL_TOL, cut)
+        if not err <= REL_TOL * (val + residues):
             raise EvaluationError(
-                "series term overflows float range; evaluate further into "
-                "the tail", partial=total, bound=math.inf)
-        peak = max(peak, abs(t))
-        y = t - comp
-        s = total + y
-        comp = (s - total) - y
-        total = s
-        if abs(t) <= 1e-18 * max(abs(total), 1e-300) and n > 2:
-            break
-    else:
-        raise EvaluationError("alternating series did not converge",
-                              partial=total, bound=abs(t))
-    if peak > _CANCEL_BUDGET * max(abs(total), 1e-300):
-        raise EvaluationError(
-            "cancellation beyond budget (largest term %.3g vs result %.3g); "
-            "evaluate further into the tail" % (peak, total),
-            partial=total, bound=peak * 1e-16)
-    # when the terms grow so fast that float summation never cancels at all,
-    # the residue is peak-sized and the peak/total ratio above looks benign;
-    # catch that by scale: the true sum never dwarfs the leading term here
-    if abs(total) > 1e6 * max(first, 1e-300):
-        raise EvaluationError(
-            "float summation lost all cancellation (result %.3g vs leading "
-            "term %.3g); evaluate further into the tail" % (total, first),
-            partial=total, bound=abs(total))
-    return total
+                "line integral %.3g with level change %.3g is outside the "
+                "relative budget" % (val, err), partial=val, bound=err)
+    except EvaluationError as e:
+        with np.errstate(over="ignore"):
+            unit = float(np.exp(log_unit))
+        raise EvaluationError(str(e), partial=unit * (e.partial + residues),
+                              bound=unit * e.bound) from None
+    return math.exp(log_unit + math.log(val + residues))
 
 
 def iminus_pdf(alpha, t):
-    """Series density f_-(t) = C_a sum (-1)^n G(n+1+1/a)/G(a(n+1)) t^{-(n+1+1/a)}.
-
-    Only usable where the alternating series is float-summable; too-small t
-    trips the cancellation guard (there is no small-t fallback).
-    """
+    """Density f_-(t) of I_minus, the inverse Mellin transform of
+    E[I_minus^s]; at large t with the first terms of its residue series."""
     alpha = _alpha_of(alpha)
     if not t > 0.0:
         raise DomainError("iminus_pdf requires t > 0")
-    ia = 1.0 / alpha
-    ca = c_alpha(alpha)
-
-    lt = math.log(t)
-
-    def term(n):
-        # log-space: the Gamma ratio and the power can each overflow float64
-        # range separately at large n while their product is still moderate
-        return (-1.0) ** n * math.exp(math.lgamma(n + 1.0 + ia)
-                                      - math.lgamma(alpha * (n + 1.0))
-                                      - (n + 1.0 + ia) * lt)
-
-    return ca * _iminus_alternating(alpha, term)
+    if t == math.inf:
+        return 0.0
+    return _iminus_mellin(alpha, ((1.0, 1.0),), math.log(t), 1.0)
 
 
 def iminus_tail_integral(alpha, t0):
-    """Exact term-wise integral int_{t0}^inf f_-(t) dt of the series."""
+    """P(I_minus > t0), the inverse Mellin transform of E[I_minus^s] / s."""
     alpha = _alpha_of(alpha)
     if not t0 > 0.0:
         raise DomainError("iminus_tail_integral requires t0 > 0")
-    ia = 1.0 / alpha
-    ca = c_alpha(alpha)
-
-    lt = math.log(t0)
-
-    def term(n):
-        return ((-1.0) ** n / (n + ia)
-                * math.exp(math.lgamma(n + 1.0 + ia)
-                           - math.lgamma(alpha * (n + 1.0)) - (n + ia) * lt))
-
-    return ca * _iminus_alternating(alpha, term)
+    if t0 == math.inf:
+        return 0.0
+    return _iminus_mellin(alpha, ((0.0, 1.0),), math.log(t0), 0.0)
 
 
 def iminus_laplace(alpha, q):
-    """E[exp(-q I_minus)] by summing the residues of the Mellin inversion.
-
-    Two superexponentially convergent families (integer poles and poles at
-    -1/alpha - m); validated against quadrature of the series density and
-    the resolvent identity they feed.  The terms alternate with size about
-    q^m / Gamma(alpha m), so for large q (q = y^alpha with y beyond about
-    15) they cancel beyond float precision, and the sum raises
-    EvaluationError instead of returning the residue.
-    """
+    """E[exp(-q I_minus)], the inverse Mellin transform in 1/q of
+    Gamma(-s) E[I_minus^s]; at small q with its first residues."""
     alpha = _alpha_of(alpha)
     if not q >= 0.0:
         raise DomainError("iminus_laplace requires q >= 0")
-    if q == 0.0:
-        return 1.0
-    ia = 1.0 / alpha
-    ca = c_alpha(alpha)
-    total = 0.0
-    peak = 0.0
-    for m in range(_MAX_IMINUS_TERMS):
-        t1 = ((-1.0) ** m * gamma(1.0 + m - ia) * gamma(ia - m)
-              * rgamma(alpha * (1.0 + m) - 1.0) * q ** m)
-        t2 = ((-1.0) ** m * gamma(-ia - m) * gamma(1.0 + ia + m)
-              * rgamma(alpha * (m + 1.0)) * q ** (m + ia))
-        total += t1 + t2
-        peak = max(peak, abs(t1), abs(t2))
-        if max(abs(t1), abs(t2)) <= 1e-18 * max(abs(total), 1e-300) and m > 2:
-            break
-    else:
-        raise EvaluationError("Laplace residue series did not converge",
-                              partial=ca * total, bound=abs(t1) + abs(t2))
-    if peak > _LAPLACE_CANCEL_BUDGET * abs(total):
-        raise EvaluationError(
-            "Laplace residue series cancels beyond budget (largest term "
-            "%.3g vs sum %.3g)" % (ca * peak, ca * total),
-            partial=ca * total, bound=1e-14 * ca * peak)
-    return ca * total
+    if q == 0.0 or q == math.inf:
+        return float(q == 0.0)
+    return _iminus_mellin(alpha, ((1.0, 1.0), (0.0, -1.0)), -math.log(q), 0.0)
 
 
 # ---------------------------------------------------------------------------

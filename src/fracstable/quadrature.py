@@ -184,3 +184,17 @@ def _tanh_sinh_rows(fun, a, b, tol):
         "tanh-sinh value %.3g with level change %.3g is outside the "
         "tolerance budget" % (val[i], err[i]),
         partial=float(val[i]), bound=float(err[i]))
+
+
+def _check_cut(probe, val, tol, cut):
+    """Raise unless the integrand value probe at the cut is within the
+    tolerance budget of the integral val truncated there; both are floats
+    or ndarrays of one shape, and the first entry over budget is raised."""
+    probe, val = np.ravel(probe), np.ravel(val)
+    over = ~(np.abs(probe) <= np.maximum(tol / 1e4, tol * np.abs(val)))
+    if over.any():
+        i = np.argmax(over)
+        raise EvaluationError(
+            "integrand %.3g at the cut u = %g is outside the tolerance "
+            "budget" % (probe[i], cut),
+            partial=float(val[i]), bound=abs(float(probe[i])))

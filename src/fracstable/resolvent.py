@@ -31,8 +31,8 @@ import numpy as np
 from .errors import DomainError, EvaluationError
 from .fracops import SmoothTestFunction
 from .gammafn import gamma
-from .quadrature import (REL_TOL, TAIL_CUTOFF, adaptive_quad, tanh_sinh,
-                         tanh_sinh_nodes)
+from .quadrature import (REL_TOL, TAIL_CUTOFF, _check_cut, adaptive_quad,
+                         tanh_sinh, tanh_sinh_nodes)
 from .specfun import (F_family, F_remainders, REM_SWITCH, _F_rows,
                       _REM_MP_FROM, _alpha_of)
 from .dist import iminus_laplace, iminus_moment
@@ -328,27 +328,13 @@ def u1_resolvent_function(f, alpha):
                               name="u1_resolvent")
 
 
-def _check_cut(probe, val, tol, cut):
-    """Raise unless the integrand value probe at the cut is within the
-    tolerance budget of the integral val truncated there; both are floats
-    or ndarrays of one shape, and the first entry over budget is raised."""
-    probe, val = np.ravel(probe), np.ravel(val)
-    over = ~(np.abs(probe) <= np.maximum(tol / 1e4, tol * np.abs(val)))
-    if over.any():
-        i = np.argmax(over)
-        raise EvaluationError(
-            "integrand %.3g at the cut u = %g is outside the tolerance "
-            "budget: f decays too slowly for U_1 f" % (probe[i], cut),
-            partial=float(val[i]), bound=abs(float(probe[i])))
-
-
 def rep_pointwise(alpha, y):
     """Both sides of the recurrent-extension entrance formula at y > 0.
 
     LHS: alpha y^{alpha-2} E[e^{-y^alpha I_-}] / (Gamma(1-1/alpha) E[I_-^{1/alpha-1}])
-    with the Laplace transform in closed form, as the residue series of its
-    Mellin inversion (iminus_laplace).  RHS: u1_density(0, y) =
-    F''(y) - F'(y).
+    with the Laplace transform as the inverse Mellin transform of the
+    closed-form moments of I_- (iminus_laplace), a line integral free of
+    cancellation at every y.  RHS: u1_density(0, y) = F''(y) - F'(y).
     """
     alpha = _alpha_of(alpha)
     if not y > 0.0:

@@ -12,7 +12,8 @@ import pytest
 from fracstable.errors import FracstableError
 from fracstable.pathsim import PathConfig, Reflect
 from fracstable.testfuncs import REGISTRY
-from fracstable.verify import check_identity_law, check_intertwining
+from fracstable.verify import (check_identity_law, check_intertwining,
+                               check_rep)
 
 ALPHAS = (1.01, 1.02, 1.05, 1.1, 1.9, 1.95, 1.98, 1.99)
 
@@ -42,4 +43,12 @@ def test_identity_law_passes_or_raises(alpha):
         if alpha == 1.99:
             return
         raise
+    assert rep.passed, (alpha, rep.max_abs_residual)
+
+
+@pytest.mark.parametrize("alpha", ALPHAS)
+def test_rep_passes_or_raises(alpha):
+    # the entrance law on both sides of y = 17, where the Laplace transform
+    # of I_minus once raised on its cancelling residue series
+    rep = check_rep(alpha, [0.5, 2.0, 9.5, 20.0])
     assert rep.passed, (alpha, rep.max_abs_residual)

@@ -184,6 +184,194 @@ def test_iminus_pdf_and_tail_oracles():
                                                   rel=1e-9)
     assert iminus_tail_integral(1.5, 0.15) == pytest.approx(
         IMINUS_TAIL_15_015, rel=1e-9)
+    assert iminus_pdf(1.5, math.inf) == 0.0
+    assert iminus_tail_integral(1.5, math.inf) == 0.0
+
+
+def _iminus_series_mp(alpha, x, kind):
+    """The residue series of the I_minus density ("pdf"), tail ("tail") or
+    Laplace transform ("laplace", x = q), in mpmath with the digits its
+    largest term needs; None where it takes over 4000 terms."""
+    lx = math.log(x) if kind == "laplace" else -math.log(x)
+    size = [math.lgamma(n + 1 + 1 / alpha) - math.lgamma(alpha * (n + 1))
+            + n * lx for n in range(4000)]
+    peak = max(size)
+    if size[-1] > peak - 80.0:
+        return None
+    dps = 30 + int(peak / math.log(10.0))
+    with mp.workdps(dps):
+        a = mp.mpf(alpha)
+        ia, x = 1 / a, mp.mpf(x)
+        acc = mp.mpf(0)
+        for n in range(4000):
+            if kind == "pdf":
+                acc += (-1) ** n * mp.gamma(n + 1 + ia) / mp.gamma(a * (n + 1)) \
+                    * x ** (-(n + 1 + ia))
+            elif kind == "tail":
+                acc += (-1) ** n / (n + ia) * mp.gamma(n + 1 + ia) \
+                    / mp.gamma(a * (n + 1)) * x ** (-(n + ia))
+            else:
+                acc += (-1) ** n * (mp.gamma(1 + n - ia) * mp.gamma(ia - n)
+                                    / mp.gamma(a * (1 + n) - 1) * x ** n
+                                    + mp.gamma(-ia - n) * mp.gamma(1 + ia + n)
+                                    / mp.gamma(a * (n + 1)) * x ** (n + ia))
+            if n > 3 and size[n] < peak - 2.31 * dps - 5.0:
+                break
+        ca = mp.gamma(a - 1) / (mp.gamma(1 - ia) * mp.gamma(ia))
+        return float(ca * acc)
+
+
+def _iminus_line_mp(alpha, x, kind, dps):
+    """The same value as the inverse Mellin line integral of E[I_minus^s]
+    in mpmath, for arguments where the series takes too many terms."""
+    with mp.workdps(dps):
+        a = mp.mpf(alpha)
+        ia, x = 1 / a, mp.mpf(x)
+        ca = mp.gamma(a - 1) / (mp.gamma(1 - ia) * mp.gamma(ia))
+
+        def m(s):
+            return ca * mp.gamma(s + 1) * mp.gamma(s + 1 - ia) \
+                * mp.gamma(ia - s) / mp.gamma(a * (s + 1) - 1)
+
+        c, g = {"pdf": (ia - 0.5, lambda s: x ** (-s - 1) * m(s)),
+                "tail": (ia / 2, lambda s: x ** -s * m(s) / s),
+                "laplace": ((ia - 1) / 2,
+                            lambda s: x ** s * mp.gamma(-s) * m(s))}[kind]
+        cut = 80 / ((3 - a) * mp.pi / 2)
+        nodes = mp.linspace(0, cut, 10 + int(abs(mp.log(x)) * cut / 3))
+        return float(mp.quad(lambda tau: mp.re(g(c + 1j * tau)), nodes)
+                     / mp.pi)
+
+
+# mpmath references on the accuracy grid: the residue series where it is
+# cheap, else (# line) the line integral at 30 digits; the two agreed to
+# every printed digit at the five entries where both were run
+IMINUS_REF = {
+    ("pdf", 1.05, 0.05): 0.8091265910979759,  # line
+    ("pdf", 1.05, 0.15): 0.7146831110313397,  # line
+    ("pdf", 1.05, 0.5): 0.4412028258624844,  # line
+    ("pdf", 1.05, 2.0): 0.11309364780616564,
+    ("pdf", 1.05, 10.0): 0.008724285754806039,
+    ("pdf", 1.05, 100.0): 0.00011380229657370619,
+    ("pdf", 1.2, 0.05): 0.6024499335335926,  # line
+    ("pdf", 1.2, 0.15): 0.6256202055109525,  # line
+    ("pdf", 1.2, 0.5): 0.4360965305137999,
+    ("pdf", 1.2, 2.0): 0.11542178302269512,
+    ("pdf", 1.2, 10.0): 0.009628771877214656,
+    ("pdf", 1.2, 100.0): 0.00015910533700502134,
+    ("pdf", 1.5, 0.05): 0.3905844334483388,
+    ("pdf", 1.5, 0.15): 0.5712989514215142,
+    ("pdf", 1.5, 0.5): 0.45392153719384365,
+    ("pdf", 1.5, 2.0): 0.11010454301383173,
+    ("pdf", 1.5, 10.0): 0.009965979876245722,
+    ("pdf", 1.5, 100.0): 0.000229318003751505,
+    ("pdf", 1.8, 0.05): 0.26590688288726616,
+    ("pdf", 1.8, 0.15): 0.6917032497258712,
+    ("pdf", 1.8, 0.5): 0.48350639385075095,
+    ("pdf", 1.8, 2.0): 0.09772722548539443,
+    ("pdf", 1.8, 10.0): 0.009326112055127431,
+    ("pdf", 1.8, 100.0): 0.00026875083193053385,
+    ("pdf", 1.95, 0.05): 0.19512356836165737,
+    ("pdf", 1.95, 0.15): 0.8501864262971475,
+    ("pdf", 1.95, 0.5): 0.4859700296562092,
+    ("pdf", 1.95, 2.0): 0.09047029788885243,
+    ("pdf", 1.95, 10.0): 0.008863195547067458,
+    ("pdf", 1.95, 100.0): 0.00027906134043147223,
+    ("tail", 1.05, 0.05): 0.9596746724232366,  # line
+    ("tail", 1.05, 0.15): 0.8832632879648136,  # line
+    ("tail", 1.05, 0.5): 0.6857504720692967,  # line
+    ("tail", 1.05, 2.0): 0.35005294131002185,
+    ("tail", 1.05, 10.0): 0.10016349258563016,
+    ("tail", 1.05, 100.0): 0.01206044993379977,
+    ("tail", 1.2, 0.05): 0.9736337926652188,  # line
+    ("tail", 1.2, 0.15): 0.9110071778658567,  # line
+    ("tail", 1.2, 0.5): 0.7242814185509299,
+    ("tail", 1.2, 2.0): 0.3855193174536598,
+    ("tail", 1.2, 10.0): 0.1241949752557384,
+    ("tail", 1.2, 100.0): 0.019233949520004446,
+    ("tail", 1.5, 0.05): 0.9862368236199838,
+    ("tail", 1.5, 0.15): 0.9360093480696763,
+    ("tail", 1.5, 0.5): 0.746372504652793,
+    ("tail", 1.5, 2.0): 0.4096432768807051,
+    ("tail", 1.5, 10.0): 0.15622370800415197,
+    ("tail", 1.5, 100.0): 0.034550373561726085,
+    ("tail", 1.8, 0.05): 0.9930668240824354,
+    ("tail", 1.8, 0.15): 0.9411715663204486,
+    ("tail", 1.8, 0.5): 0.719605036779151,
+    ("tail", 1.8, 2.0): 0.3988847510736588,
+    ("tail", 1.8, 10.0): 0.17213168965721423,
+    ("tail", 1.8, 100.0): 0.04849652283828661,
+    ("tail", 1.95, 0.05): 0.9968421542271124,
+    ("tail", 1.95, 0.15): 0.9357499891629367,
+    ("tail", 1.95, 0.5): 0.6929570877595053,
+    ("tail", 1.95, 2.0): 0.3872749003532466,
+    ("tail", 1.95, 10.0): 0.17606270612562394,
+    ("tail", 1.95, 100.0): 0.05451769014537238,
+    ("laplace", 1.05, 0.5): 0.5225993720107586,
+    ("laplace", 1.05, 1.0): 0.3872700565666803,
+    ("laplace", 1.05, 5.0): 0.13563885077323512,  # line
+    ("laplace", 1.05, 30.0): 0.02651788416641903,  # line
+    ("laplace", 1.05, 100.0): 0.007827081346003463,  # line
+    ("laplace", 1.05, 1000.0): 0.0007122192094595988,  # line
+    ("laplace", 1.2, 0.5): 0.48895321786497176,
+    ("laplace", 1.2, 1.0): 0.35367730463370467,
+    ("laplace", 1.2, 5.0): 0.11109070156955791,  # line
+    ("laplace", 1.2, 30.0): 0.0175074038627198,  # line
+    ("laplace", 1.2, 100.0): 0.00440361210568319,  # line
+    ("laplace", 1.2, 1000.0): 0.0003000349794503586,  # line
+    ("laplace", 1.5, 0.5): 0.4649230052374723,
+    ("laplace", 1.5, 1.0): 0.33179217459839294,
+    ("laplace", 1.5, 5.0): 0.09200430773551681,  # line
+    ("laplace", 1.5, 30.0): 0.00969028118481756,  # line
+    ("laplace", 1.5, 100.0): 0.0017955586861950054,  # line
+    ("laplace", 1.5, 1000.0): 7.687188531148813e-05,  # line
+    ("laplace", 1.8, 0.5): 0.47518405270892977,
+    ("laplace", 1.8, 1.0): 0.34587079761470485,
+    ("laplace", 1.8, 5.0): 0.0948946013862584,
+    ("laplace", 1.8, 30.0): 0.00606636042260016,
+    ("laplace", 1.8, 100.0): 0.0006735708360178992,  # line
+    ("laplace", 1.8, 1000.0): 1.8217901828356003e-05,  # line
+    ("laplace", 1.95, 0.5): 0.48800963156110555,
+    ("laplace", 1.95, 1.0): 0.36164796612392713,
+    ("laplace", 1.95, 5.0): 0.10310424414920574,
+    ("laplace", 1.95, 30.0): 0.004644283743049957,
+    ("laplace", 1.95, 100.0): 0.00021002447123207377,  # line
+    ("laplace", 1.95, 1000.0): 3.7666324368343613e-06,  # line
+}
+
+
+def test_iminus_matches_mpmath_references():
+    fun = {"pdf": iminus_pdf, "tail": iminus_tail_integral,
+           "laplace": iminus_laplace}
+    for (kind, a, x), ref in IMINUS_REF.items():
+        rel = 1e-10 if kind == "laplace" and x > 30.0 else 1e-12
+        assert fun[kind](a, x) == pytest.approx(ref, rel=rel), (kind, a, x)
+
+
+def test_iminus_references_are_the_mpmath_routes():
+    # the table's cheap series entries, and one line-integral entry,
+    # recomputed
+    for (kind, a, x), ref in IMINUS_REF.items():
+        if 0.5 <= x <= 10.0 and a > 1.1 and (kind != "laplace" or x == 1.0):
+            assert _iminus_series_mp(a, x, kind) == pytest.approx(
+                ref, rel=1e-14), (kind, a, x)
+    assert _iminus_line_mp(1.05, 0.5, "pdf", 16) == pytest.approx(
+        IMINUS_REF["pdf", 1.05, 0.5], rel=1e-14)
+
+
+def test_iminus_far_arguments_keep_full_precision():
+    # past log x * cut = 128 the line moves right past the first poles and
+    # their residues carry the value: t up to 1e300, q down to 1e-300
+    for a in (1.05, 1.5, 1.95):
+        for t in (3.0, 1e3, 1e8, 1e20, 1e100, 1e150):
+            assert iminus_pdf(a, t) == pytest.approx(
+                _iminus_series_mp(a, t, "pdf"), rel=1e-12), (a, t)
+        for t in (1e8, 1e20, 1e300):
+            assert iminus_tail_integral(a, t) == pytest.approx(
+                _iminus_series_mp(a, t, "tail"), rel=1e-12), (a, t)
+        for q in (1e-3, 1e-20, 1e-300):
+            assert iminus_laplace(a, q) == pytest.approx(
+                _iminus_series_mp(a, q, "laplace"), rel=1e-12), (a, q)
 
 
 def test_iminus_pdf_quadrature_matches_termwise_tail():
@@ -196,20 +384,20 @@ def test_iminus_pdf_quadrature_matches_termwise_tail():
 
 
 def test_iminus_pdf_small_t_raises_instead_of_garbage():
-    # the series is float-summable only for t large enough; below that the
-    # evaluation must refuse, never return a wrong number silently, and the
-    # refusal carries the partial sum and a finite error bound
+    # the residue series cancels beyond float precision at these points,
+    # and the line integral serves them; it refuses only where the density
+    # falls below the line's rounding (a power of t below the line), with
+    # the partial value and a finite error bound
     for a, t in ((1.5, 0.01), (1.5, 0.05), (1.5, 0.08), (1.2, 0.2),
                  (1.8, 0.01)):
+        assert 0.0 < iminus_pdf(a, t) < 1.0
+    assert iminus_pdf(1.5, 0.05) == pytest.approx(
+        IMINUS_REF["pdf", 1.5, 0.05], rel=1e-12)
+    for a, t in ((1.5, 1e-12), (1.95, 1e-10)):
         with pytest.raises(EvaluationError) as err:
             iminus_pdf(a, t)
         assert math.isfinite(err.value.partial)
         assert math.isfinite(err.value.bound) and err.value.bound > 0.0
-    # a series term beyond float range leaves the error unbounded
-    with pytest.raises(EvaluationError) as err:
-        iminus_pdf(1.2, 0.05)
-    assert math.isfinite(err.value.partial)
-    assert err.value.bound == math.inf
 
 
 def _iminus_laplace_quad(alpha, q, t_split):
@@ -249,16 +437,16 @@ def test_iminus_laplace_routes_agree():
             assert _iminus_laplace_quad(a, q, t_split) == pytest.approx(
                 iminus_laplace(a, q), rel=1e-5)
     assert iminus_laplace(1.5, 0.0) == 1.0
+    assert iminus_laplace(1.5, math.inf) == 0.0
 
 
-def test_iminus_laplace_raises_where_its_residue_series_cancels():
-    # at y = 20 the alternating terms reach ~1e11 times the sum, and the
-    # float sum was off by 1e-3 to 6e-3
-    for a in (1.2, 1.5, 1.8):
-        with pytest.raises(EvaluationError) as err:
-            iminus_laplace(a, 20.0 ** a)
-        assert math.isfinite(err.value.partial)
-        assert math.isfinite(err.value.bound) and err.value.bound > 0.0
+def test_iminus_laplace_is_right_where_its_residue_series_cancelled():
+    # at y = 20 the alternating residues reach ~1e11 times the sum, and the
+    # float sum was off by 1e-3 to 6e-3; the line integral has no such
+    # terms (references: the mpmath line integral at 30 digits)
+    for a, ref in ((1.2, 0.014070491103939688), (1.5, 0.0020980074101737928),
+                   (1.8, 0.00018445616126674854)):
+        assert iminus_laplace(a, 20.0 ** a) == pytest.approx(ref, rel=1e-12)
 
 
 # property tests at the domain edges: alpha anywhere in (1, 2), t over the

@@ -291,9 +291,18 @@ def test_ks_two_sample_behavior():
     assert ks_two_sample_arrays(a, a) == 0.0
 
 
+def _ks_pooled(a, b):
+    # the reference: both empirical CDFs at every point of the pooled sample
+    data = np.concatenate([a, b])
+    data.sort(kind="mergesort")
+    ca = np.searchsorted(np.sort(a), data, side="right") / len(a)
+    cb = np.searchsorted(np.sort(b), data, side="right") / len(b)
+    return float(np.max(np.abs(ca - cb)))
+
+
 def test_pathsim_and_verify_ks_statistics_agree_bitwise():
-    # two implementations of one statistic; they may be merged only while
-    # they agree exactly
+    # pathsim's statistic is verify's, and both agree exactly with the
+    # pooled-sort reference
     rng = np.random.default_rng(3)
     a = rng.standard_normal(1500)
     b = rng.standard_normal(2300)
@@ -310,7 +319,8 @@ def test_pathsim_and_verify_ks_statistics_agree_bitwise():
              (ties_a, np.concatenate([ties_b, a])),
              (small, big)]                             # identity-law sizes
     for x, y in cases:
-        assert _ks_statistic(x, y) == ks_two_sample_arrays(x, y)
-        assert _ks_statistic(y, x) == ks_two_sample_arrays(y, x)
+        for p, q in ((x, y), (y, x)):
+            assert _ks_statistic(p, q) == ks_two_sample_arrays(p, q) \
+                == _ks_pooled(p, q)
     assert ks_two_sample_arrays(one, one + 1.0) == 1.0
     assert ks_two_sample_arrays(a, b + 20.0) == 1.0
