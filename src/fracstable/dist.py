@@ -25,6 +25,7 @@ _BLOCK = 1 << 16          # sub-stream block length for parallel-safe sampling
 _TABLE_NODES = 1 << 10    # inverse-CDF table resolution for V_alpha
 _TABLE_CACHE_SIZE = 8     # V_alpha tables kept, one per alpha
 _CELLS = 1 << 14          # equal cells of u that index the table's intervals
+_TAIL_FLOOR = 1e-10       # least tail mass k t^{-a}/a past a table node
 _FAR = 1e150              # t^alpha <= _FAR keeps pi t^{2 alpha} finite
 
 
@@ -43,27 +44,33 @@ def yalpha_pdf(alpha, t):
 
 def _valpha_array(alpha, t, k):
     """t^k v_alpha(t) for t > 0, k in {0, 1}: the density's formula where
-    t^{2a} is finite, its t^{-a} form (_valpha_far) beyond."""
+    t^{2a} is finite, its t^{-a} form beyond."""
     alpha = _alpha_of(alpha)
     arr = np.asarray(t, dtype=float)
     if not np.all(arr > 0.0):
         raise DomainError("valpha_pdf requires t > 0")
+    pdf, _, far_form = _valpha_forms(alpha)
     far = arr > _FAR ** (1.0 / alpha)
     out = np.empty_like(arr)
     near_t = arr[~far]
-    out[~far] = _valpha_density(alpha)(near_t) * near_t ** k
-    out[far] = _valpha_far(alpha, k)(arr[far])
+    out[~far] = pdf(near_t) * near_t ** k
+    out[far] = far_form(arr[far], k)
     return float(out) if out.ndim == 0 else out
 
 
-def _valpha_density(alpha):
-    """valpha_pdf's formula with its alpha-only constants computed once.
+def _valpha_forms(alpha):
+    """v_alpha's formula in three forms, its alpha-only constants computed
+    once: pdf(t), valpha_pdf's formula; smooth(t) = v_alpha(t) / t^{a-2},
+    bounded near t = 0; and far(t, k) = t^k v_alpha(t) for t >= 1, divided
+    through by t^{2a} so that it stays finite where pdf overflows, with
+    t^{k-1-a} kept whole so that no value in float range underflows.
 
-    The closure takes a float t > 0 or an array of them and checks nothing:
-    quadrature integrands call it with plain floats, skipping valpha_pdf's
+    Each takes a float t > 0 or an array of them and checks nothing:
+    quadrature integrands call them with plain floats, skipping valpha_pdf's
     per-call numpy conversion and domain check.
     """
     ms, c = -sinpi(alpha), cospi(alpha)
+    scale = ms / math.pi
     am2 = alpha - 2.0
 
     def pdf(t):
@@ -71,33 +78,16 @@ def _valpha_density(alpha):
         return ms * t ** am2 * (1.0 + t) \
             / (math.pi * (ta * ta - 2.0 * ta * c + 1.0))
 
-    return pdf
-
-
-def _valpha_far(alpha, k):
-    """t -> t^k v_alpha(t) for t >= 1 (floats or arrays), divided through
-    by t^{2a} so that it stays finite where valpha_pdf's formula overflows;
-    t^{k-1-a} is kept whole, so no value in float range underflows."""
-    ms, c = -sinpi(alpha) / math.pi, cospi(alpha)
-    e = k - 1.0 - alpha
-
-    def far(t):
-        s = t ** -alpha
-        return ms * t ** e * (1.0 + 1.0 / t) / (1.0 - 2.0 * c * s + s * s)
-
-    return far
-
-
-def _valpha_smooth(alpha):
-    """The integrand v_alpha(t) / t^{alpha-2}, bounded near t = 0."""
-    k = -sinpi(alpha) / math.pi
-    ca = cospi(alpha)
-
     def smooth(t):
         ta = t ** alpha
-        return k * (1.0 + t) / (ta * ta - 2.0 * ta * ca + 1.0)
+        return scale * (1.0 + t) / (ta * ta - 2.0 * ta * c + 1.0)
 
-    return smooth
+    def far(t, k):
+        s = t ** -alpha
+        return scale * t ** (k - 1.0 - alpha) * (1.0 + 1.0 / t) \
+            / (1.0 - 2.0 * c * s + s * s)
+
+    return pdf, smooth, far
 
 
 def zbeta_pdf(alpha, t):
@@ -373,15 +363,19 @@ def _valpha_table_at(alpha):
     """Inverse-CDF table of V_alpha, kept for the most recent alphas: the
     CDF at _TABLE_NODES Chebyshev nodes t = w/(1-w), PCHIP coefficients of
     w against it, and for each of _CELLS equal cells of u the PCHIP
-    interval that holds the whole cell, or -1 where a node splits it."""
+    interval that holds the whole cell, or -1 where a node splits it.  It
+    ends at the last node whose tail mass k t^{-a}/a is at least
+    _TAIL_FLOOR: near alpha = 2 the last Chebyshev node's is an ulp of 1,
+    below the rounding of the summed CDF."""
     n = _TABLE_NODES
     j = np.arange(n)
     w = 0.5 * (1.0 - np.cos(math.pi * (j + 0.5) / n))  # Chebyshev on (0,1)
     t = w / (1.0 - w)
     k = -sinpi(alpha) / math.pi
+    keep = k * t ** -alpha / alpha >= _TAIL_FLOOR
+    w, t, n = w[keep], t[keep], int(keep.sum())
     p = 1.0 / (alpha - 1.0)
-    smooth = _valpha_smooth(alpha)
-    pdf = _valpha_density(alpha)
+    pdf, smooth, _ = _valpha_forms(alpha)
 
     # CDF at the first node: substitute u = t0 s^{1/(alpha-1)}
     t0 = t[0]
@@ -476,15 +470,14 @@ def kernel_apply(f, alpha, x, tol=REL_TOL):
     if x == 0.0:
         return fv(0.0)
     p = 1.0 / (alpha - 1.0)
-    smooth = _valpha_smooth(alpha)
-    tail = _valpha_far(alpha, 2)
+    _, smooth, far = _valpha_forms(alpha)
     val, _ = tanh_sinh(lambda s, _: fv(x * s ** p) * smooth(s ** p),
                        0.0, 1.0, tol)
     val *= p
     # t = 1/r on r in [0, 1], split at r = x (x t = 1) for x < 1
     for r0, r1 in ((0.0, x), (x, 1.0)) if x < 1.0 else ((0.0, 1.0),):
-        part, _ = tanh_sinh(
-            lambda d, _: fv(x / (r0 + d)) * tail(1.0 / (r0 + d)), r0, r1, tol)
+        part, _ = tanh_sinh(lambda d, _: fv(x / (r0 + d))
+                            * far(1.0 / (r0 + d), 2), r0, r1, tol)
         val += part
     return val
 
@@ -509,7 +502,7 @@ def kernel_apply_d2(f, alpha, x):
     col = xs.reshape(-1, 1)
     n = col.shape[0]
     p = 1.0 / (alpha - 1.0)
-    smooth = _valpha_smooth(alpha)
+    _, smooth, far = _valpha_forms(alpha)
 
     def below(s, _):
         t = s[0] ** p   # every row runs over the same [0, 1]
@@ -519,12 +512,10 @@ def kernel_apply_d2(f, alpha, x):
     # t > 1 in log of the physical argument u = x t, up to u = T, with
     # t^3 v_alpha(t) in its far form (finite wherever t is); rows with
     # x < 1 get a panel up to u = 1 and one beyond
-    far = _valpha_far(alpha, 3)
-
     def log_panel(m0, m1, lx):
         # log u from m0 to m1 for the rows with log x = lx
         vals, _ = tanh_sinh(
-            lambda dm, _: far(np.exp((m0 - lx)[:, None] + dm))
+            lambda dm, _: far(np.exp((m0 - lx)[:, None] + dm), 3)
             * f.eval_f2(np.exp(m0[:, None] + dm)), m0, m1, REL_TOL)
         return vals
 
@@ -543,8 +534,7 @@ def valpha_moment_quad(alpha, s):
     if not (1.0 - alpha) < s < alpha:
         raise DomainError("s outside (1-alpha, alpha)")
     p = 1.0 / (alpha - 1.0)
-    smooth = _valpha_smooth(alpha)
-    pdf = _valpha_density(alpha)
+    pdf, smooth, _ = _valpha_forms(alpha)
 
     below, _ = adaptive_quad(
         lambda u: u ** (p * s) * smooth(u ** p), 0.0, 1.0)

@@ -3,14 +3,16 @@
 One relative tolerance sets each integral (nested layers scale REL_TOL),
 and improper integrals stop at TAIL_CUTOFF, their callers bounding the
 rest.  tanh_sinh, a fixed nested rule over node arrays, serves the kernel
-V_alpha, the fractional-operator cores, the resolvent convolutions, M_f
-and Uhat_1 f with its mass: their integrands take a whole block of nodes
-at a time, the first call the 65 nodes of levels 0-3 and each later call
-one level's, and with arrays of endpoints a whole family of integrals at
-once, one matrix per call.  Its level tables _TS_LEVELS also give the
-node tables of specfun's remainder integrals.  adaptive_quad, scipy's
-adaptive Gauss-Kronrod, serves the rest: moments, the V_alpha tables,
-lambda_f, and U_1 f with its mass.
+V_alpha, the fractional-operator cores, the resolvent convolutions, M_f,
+Uhat_1 f with its mass and the I_minus line integrals: their integrands
+take a whole block of nodes at a time, the first call the 65 nodes of
+levels 0-3 and each later call one level's.  One loop serves every call:
+it integrates one row per entry of the endpoint arrays, a whole family of
+integrals at once, one matrix per call, and float endpoints are one 0-d
+row.  Its level tables _TS_LEVELS also give the node tables of specfun's
+remainder integrals.  adaptive_quad, scipy's adaptive Gauss-Kronrod,
+serves the rest: moments, the V_alpha tables, lambda_f, and U_1 f with
+its mass.
 """
 
 import math
@@ -133,37 +135,18 @@ def tanh_sinh(fun, a, b, tol):
     rule raises EvaluationError with the value as partial and the estimate
     as bound.
 
-    With arrays a and b of one shape, the rule integrates one row per
-    entry, all rows on the same levels: fun gets (rows x nodes) distance
-    matrices and returns a matrix of that shape, the rule returns arrays
-    of values and estimates, and the levels stop once every row is within
-    its budget.  Past the last level the worst row is the one raised.
+    The rule runs one row per entry of a and b, all rows on the same
+    levels, and stops once every row is within its budget; past the last
+    level the worst row is the one raised.  Float ends are one 0-d row:
+    fun gets node arrays and the rule returns floats.  With arrays a and b
+    of one shape, fun gets (rows x nodes) distance matrices and returns a
+    matrix of that shape, and the rule returns arrays of values and
+    estimates.
     """
     if not tol > 0.0:
         raise DomainError("quadrature tolerance must be positive")
-    if np.ndim(a) or np.ndim(b):
-        return _tanh_sinh_rows(fun, np.asarray(a, dtype=float),
-                               np.asarray(b, dtype=float), tol)
     floor = tol / 1e4
-    total = 0.0
-    val = err = math.nan
-    for h, w, vals in _level_values(fun, a, b):
-        total += float(np.dot(w, vals))
-        prev, val = val, (b - a) * h * total
-        err = abs(val - prev)
-        if not math.isfinite(val):
-            break
-        if err <= max(floor, tol * abs(val)):
-            return val, err
-    raise EvaluationError(
-        "tanh-sinh value %.3g with level change %.3g is outside the "
-        "tolerance budget" % (val, err), partial=val, bound=err)
-
-
-def _tanh_sinh_rows(fun, a, b, tol):
-    """tanh_sinh over arrays a and b: one integral per entry."""
-    floor = tol / 1e4
-    width = b - a
+    width = np.subtract(b, a, dtype=float)
     total = np.zeros(width.shape)
     val = err = np.full(width.shape, math.nan)
     # a non-finite value raises below, so numpy's warning is noise
@@ -175,7 +158,8 @@ def _tanh_sinh_rows(fun, a, b, tol):
             if not np.isfinite(val).all():
                 break
             if (err <= np.maximum(floor, tol * np.abs(val))).all():
-                return val, err
+                return (val, err) if np.ndim(val) \
+                    else (float(val), float(err))
         # the worst row: a non-finite one, else the one furthest over budget
         over = np.where(np.isfinite(val),
                         err / np.maximum(floor, tol * np.abs(val)), np.inf)

@@ -45,6 +45,8 @@ _Y_MIN = 1e-150          # M_f's substituted panel stops here, as caputo's does
 # (gauss, alpha 1.2 to 1.8) their relative error is (1-5)e-15 times the ratio
 # of the largest term to the result: at most 330 on the certificates' x <= 3,
 # 1e7 at x = 12, 1e11 at 20.  Past 1e8 it may exceed 100 REL_TOL, so it raises.
+# |sum| is floored at 1e-4, the quadratures' floor REL_TOL / 1e4 over REL_TOL,
+# so that a g'' crossing zero, right to that absolute floor, passes.
 _CANCEL_BUDGET = 1e8
 
 
@@ -215,10 +217,11 @@ def _floats_too(fun):
 
 def _cancelling_sum(x, *terms):
     """The sum of terms, ndarrays in x's shape; EvaluationError at the first
-    entry whose largest term exceeds the sum by more than _CANCEL_BUDGET."""
+    entry whose largest term exceeds max(|sum|, 1e-4) by more than
+    _CANCEL_BUDGET."""
     total = sum(terms)
     big = np.max(np.abs(terms), axis=0)
-    over = ~(big <= _CANCEL_BUDGET * np.abs(total))
+    over = ~(big <= _CANCEL_BUDGET * np.maximum(np.abs(total), 1e-4))
     if over.any():
         b, t, at = (float(v[over][0]) for v in (big, total, x))
         raise EvaluationError("terms of %.3g cancel to %.3g at x = %g, beyond "
@@ -342,6 +345,6 @@ def rep_pointwise(alpha, y):
     ia = 1.0 / alpha
     lap = iminus_laplace(alpha, y ** alpha)
     lhs = alpha * y ** (alpha - 2.0) * lap \
-        / (gamma(1.0 - ia) * iminus_moment(alpha, ia - 1.0))
+        / (gamma((alpha - 1.0) / alpha) * iminus_moment(alpha, ia - 1.0))
     rhs = u1_density(alpha, 0.0, y)
     return lhs, rhs

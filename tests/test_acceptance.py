@@ -12,15 +12,16 @@ import numpy as np
 import pytest
 
 from fracstable.dist import (iminus_moment, iminus_pdf, iminus_tail_integral,
-                             mom_V, mom_X, mom_Xhat, positive_stable_sample,
+                             mom_V, positive_stable_sample,
                              stable_increment_sample, valpha_moment_quad,
                              valpha_sample)
 from fracstable.errors import DomainError
 from fracstable.pathsim import PathConfig, Reflect
-from fracstable.specfun import GeneralIndex, psi, psi_integral, theta_root
+from fracstable.specfun import GeneralIndex, theta_root
 from fracstable.testfuncs import REGISTRY
-from fracstable.verify import (check_cm, check_identity_law,
-                               check_intertwining, check_rep,
+from fracstable.verify import (check_cm, check_factorization,
+                               check_identity_law, check_intertwining,
+                               check_lamperti, check_rep,
                                check_resolvent_generator, recip_ml_derivs)
 
 ALPHAS = (1.2, 1.5, 1.8)
@@ -35,16 +36,15 @@ def _report(capsys, num, name, passed, detail=""):
 
 
 def test_criterion_01_moment_factorization(capsys):
-    worst = 0.0
+    reps = []
     for a in [round(1.0 + 0.1 * k, 1) for k in range(1, 10)]:
         lo, hi = 1.0 - a, a
-        for s in np.linspace(lo + 0.05 * (hi - lo), hi - 0.05 * (hi - lo),
-                             10):
-            s = float(s)
-            rel = abs(mom_X(a, s) - mom_V(a, s) * mom_Xhat(a, s)) \
-                / abs(mom_X(a, s))
-            worst = max(worst, rel)
-    _report(capsys, 1, "moment factorization", worst <= 1e-12,
+        reps.append(check_factorization(
+            a, np.linspace(lo + 0.05 * (hi - lo), hi - 0.05 * (hi - lo), 10)))
+    assert all(rep.tolerance == 1e-12 for rep in reps)
+    worst = max(rep.max_abs_residual for rep in reps)
+    _report(capsys, 1, "moment factorization",
+            all(rep.passed for rep in reps),
             "max rel residual %.3g" % worst)
 
 
@@ -101,13 +101,11 @@ def test_criterion_04_identity_in_law(capsys):
 
 
 def test_criterion_05_lamperti_exponent(capsys):
-    worst = 0.0
-    for a in ALPHAS:
-        for lam in (0.5, 1.0, 2.0, 5.0):
-            rel = abs(psi_integral(a, lam) - psi(a, lam)) / abs(psi(a, lam))
-            worst = max(worst, rel)
+    reps = [check_lamperti(a, (0.5, 1.0, 2.0, 5.0)) for a in ALPHAS]
+    assert all(rep.tolerance == 1e-6 for rep in reps)
+    worst = max(rep.max_abs_residual for rep in reps)
     root_err = abs(theta_root(GeneralIndex(1.5, 0.0, 1.0)) - 1.0)
-    passed = worst <= 1e-6 and root_err <= 1e-10
+    passed = all(rep.passed for rep in reps) and root_err <= 1e-10
     _report(capsys, 5, "Lamperti exponent", passed,
             "max rel %.3g, root error %.3g" % (worst, root_err))
 

@@ -8,8 +8,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from scipy.interpolate import PchipInterpolator
 
-from fracstable.dist import (_FAR, _valpha_density, _valpha_far,
-                             _valpha_inverse, _valpha_smooth, _valpha_table,
+from fracstable.dist import (_FAR, _TAIL_FLOOR, _valpha_forms,
+                             _valpha_inverse, _valpha_table,
                              _valpha_table_at, c_alpha,
                              iminus_laplace, iminus_moment, iminus_pdf,
                              iminus_tail_integral,
@@ -117,7 +117,7 @@ def test_valpha_density_closure_matches_numpy_formula():
         ref = _valpha_pdf_reference(a, t)
         np.testing.assert_array_equal(valpha_pdf(a, t), ref)
         assert valpha_pdf(a, float(t[0])) == float(ref[0])
-        pdf = _valpha_density(a)
+        pdf, _, _ = _valpha_forms(a)
         scalar = np.array([pdf(v) for v in t.tolist()])
         np.testing.assert_allclose(scalar, ref, rtol=rel, atol=0.0)
 
@@ -549,6 +549,29 @@ def test_cell_indexed_inverse_cdf_is_bitwise_pchip(alpha):
     assert (_valpha_inverse(table, u) == inv(u)).all()
 
 
+@pytest.mark.parametrize("alpha", [1.969, 1.971, 1.974, 1.977, 1.983,
+                                   1.985, 1.989, 1.99, 1.997, 1.999])
+def test_valpha_table_builds_near_alpha_two(alpha):
+    # summed to the last of all 1024 Chebyshev nodes, whose tail mass is
+    # within an ulp or two of 0, the CDF reached 1 or more at these alphas
+    # and the table raised SamplerError; it now ends at the last node whose
+    # tail mass k t^-a / a is at least _TAIL_FLOOR
+    table = _valpha_table(alpha)
+    cdf, w, k = table["cdf"], table["w"], table["k"]
+    t = w[-1] / (1.0 - w[-1])
+    tail = k * t ** -alpha / alpha
+    assert tail >= _TAIL_FLOOR
+    assert cdf.size < 1024
+    assert np.all(np.diff(cdf) > 0.0) and cdf[-1] < 1.0
+    # the summed CDF misses the analytic tail by far less than the floor
+    assert abs((1.0 - cdf[-1]) - tail) < 0.1 * _TAIL_FLOOR
+    # the analytic tail inversion takes over near the last node
+    t_inv = (k / (alpha * (1.0 - cdf[-1]))) ** (1.0 / alpha)
+    assert t_inv == pytest.approx(t, rel=0.05)
+    draws = valpha_sample(alpha, 100_000, 3)
+    assert np.all(np.isfinite(draws) & (draws > 0.0))
+
+
 def test_sample_population_metadata():
     vals = valpha_sample(1.5, 100, 3)
     assert isinstance(vals, np.ndarray)
@@ -676,8 +699,7 @@ def _kernel_apply_d2_quad(f, alpha, x, tol):
     a breakpoint, both as kernel_apply_d2 computed them (at tol 1e-8)
     before it ran on the tanh-sinh rule."""
     p = 1.0 / (alpha - 1.0)
-    smooth = _valpha_smooth(alpha)
-    pdf = _valpha_density(alpha)
+    pdf, smooth, far = _valpha_forms(alpha)
     below, _ = adaptive_quad(
         lambda s: s ** (2.0 * p) * f.eval_f2(x * s ** p) * smooth(s ** p),
         0.0, 1.0, tol)
@@ -687,8 +709,7 @@ def _kernel_apply_d2_quad(f, alpha, x, tol):
         return pdf(u / x) * (u / x) ** 2 * f.eval_f2(u) * u / x
 
     if TAIL_CUTOFF / x > _FAR ** (1.0 / alpha):
-        far = _valpha_far(alpha, 3)
-        above_log = lambda m: far(math.exp(m) / x) * f.eval_f2(math.exp(m))
+        above_log = lambda m: far(math.exp(m) / x, 3) * f.eval_f2(math.exp(m))
     above, _ = adaptive_quad(above_log, math.log(x), math.log(TAIL_CUTOFF),
                              tol, points=[0.0] if x < 1.0 else None)
     return p * below + above

@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from fracstable.dist import (_valpha_density, iminus_laplace, iminus_pdf,
+from fracstable.dist import (_valpha_forms, iminus_laplace, iminus_pdf,
                              iminus_tail_integral, kernel_apply)
 from fracstable.errors import DomainError, EvaluationError
 from fracstable.quadrature import TAIL_CUTOFF, adaptive_quad
@@ -52,7 +52,7 @@ def test_u1_density_matches_valpha_laplace_oracle():
     # u1(0, y) = int_0^inf v_alpha(t) e^{-y/t} dt/t, taken in r = 1/t
     # split at r = 1/y; it samples nothing and crosses x = 3, 9, 25 and 30
     for a in (1.2, 1.5, 1.8):
-        pdf = _valpha_density(a)
+        pdf, _, _ = _valpha_forms(a)
         for y in (0.1, 1.0, 2.9, 3.1, 5.0, 8.9, 9.1, 15.0, 24.9, 29.9, 30.1):
             g = lambda r: pdf(1.0 / r) * math.exp(-y * r) / r
             lo, _ = adaptive_quad(g, 0.0, 1.0 / y)
@@ -146,6 +146,17 @@ def test_uhat1_resolvent_function_is_right_or_raises_at_large_x():
             assert val == pytest.approx(uhat1_apply(GAUSS, a, x), rel=1e-6)
         with pytest.raises(EvaluationError, match="float budget"):
             g.eval_f(28.0)
+
+
+def test_generator_passes_where_g2_crosses_zero():
+    # the generator check at x = 1.2587943869859695 evaluates g'' at
+    # x = 0.629397, where it crosses zero: terms of 1.44 sum to -7.5e-9, a
+    # ratio of 2e8, and a purely relative guard raised although the sum is
+    # right to the quadratures' absolute floor; g(28) still raises above
+    rep = check_resolvent_generator(GAUSS, 1.5, [1.2587943869859695])
+    assert rep.passed, rep.max_abs_residual
+    g = uhat1_resolvent_function(GAUSS, 1.5)
+    assert abs(g.eval_f2(0.629397)) < 1e-4
 
 
 def test_u1_resolvent_function_raises_where_its_cut_is_not_negligible():
