@@ -12,8 +12,6 @@ import functools
 import math
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
-from scipy.special import loggamma
 
 from .errors import DomainError, EvaluationError, SamplerError
 from .gammafn import gamma, rgamma, sinpi, cospi
@@ -201,6 +199,8 @@ def _iminus_mellin(alpha, gammas, log_x, k):
     residue, and adds their residues.  The budget is relative;
     EvaluationError where a value misses it (the density as t -> 0).
     """
+    from scipy.special import loggamma
+
     gammas += (((alpha - 1.0) / alpha, 1.0), (1.0 / alpha, -1.0))
 
     def log_term(s, skip):
@@ -367,6 +367,8 @@ def _valpha_table_at(alpha):
     ends at the last node whose tail mass k t^{-a}/a is at least
     _TAIL_FLOOR: near alpha = 2 the last Chebyshev node's is an ulp of 1,
     below the rounding of the summed CDF."""
+    from scipy.interpolate import PchipInterpolator
+
     n = _TABLE_NODES
     j = np.arange(n)
     w = 0.5 * (1.0 - np.cos(math.pi * (j + 0.5) / n))  # Chebyshev on (0,1)

@@ -12,14 +12,15 @@ integrals at once, one matrix per call, and float endpoints are one 0-d
 row.  Its level tables _TS_LEVELS also give the node tables of specfun's
 remainder integrals.  adaptive_quad, scipy's adaptive Gauss-Kronrod,
 serves the rest: moments, the V_alpha tables, lambda_f, and U_1 f with
-its mass.
+its mass.  This module loads numpy only; adaptive_quad imports
+scipy.integrate on its first call, so a route on tanh_sinh alone never
+loads scipy.
 """
 
 import math
 import warnings
 
 import numpy as np
-import scipy.integrate as _si
 
 from .errors import DomainError, EvaluationError
 
@@ -33,8 +34,12 @@ def adaptive_quad(fun, a, b, tol=REL_TOL, points=None):
 
     Asks for relative accuracy tol with absolute floor tol / 1e4, and raises
     EvaluationError unless the value is finite and the integrator's own
-    error estimate is within 100 times that.
+    error estimate is within 100 times that.  scipy.integrate is imported
+    here, and its quad looked up at each call, so a patched
+    scipy.integrate.quad is the one called.
     """
+    import scipy.integrate as _si
+
     if not tol > 0.0:
         raise DomainError("quadrature tolerance must be positive")
     floor = tol / 1e4

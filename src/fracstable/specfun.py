@@ -35,7 +35,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
 from .errors import DomainError, EvaluationError, RootNotFoundError
 from .gammafn import cospi, gamma, rgamma, sinpi
@@ -333,6 +332,8 @@ def _F_rows(alpha, xs, shares, deriv):
     drops an entry's leading terms at a small s from about x = 600 on:
     such rows are summed entry by entry, each at its own scale.
     """
+    from scipy.special import gammaln
+
     if deriv not in (0, 1, 2):
         raise DomainError("deriv must be 0, 1 or 2")
     if not (xs > 0.0).all():

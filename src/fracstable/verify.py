@@ -259,14 +259,17 @@ def check_resolvent_generator(f, alpha, x_grid):
 
 
 def _one_sided_derivative(fun, alpha):
-    """f'(0+) for f(x) = f(0) + f'(0) x + c x^alpha + O(x^2): two-stage
-    Richardson eliminating the x^{alpha-1} and x terms of the quotient."""
-    h0 = 1e-3
-    f0 = fun(0.0)
-    d = [(fun(h0 / 2 ** i) - f0) / (h0 / 2 ** i) for i in range(3)]
-    r = 2.0 ** (alpha - 1.0)
-    e = [(r * d[i + 1] - d[i]) / (r - 1.0) for i in range(2)]
-    return 2.0 * e[1] - e[0]
+    """f'(0+) for f(x) = f(0) + f'(0) x + c x^alpha + O(x^2): the quotient
+    (f(h) - f(0)) / h at h = 1e-3 / 2^i, i < 5, fitted exactly by f'(0)
+    plus the powers h^{alpha-1}, h, h^alpha and h^{2alpha-1} (the terms
+    x^alpha, x^2, x^{alpha+1} and x^{2alpha} of f).  Removing only the
+    first two would leave h^{2alpha-1}, nearly h as alpha -> 1.  fun is
+    called once, on the array of all six points."""
+    h = 1e-3 / 2.0 ** np.arange(5)
+    vals = fun(np.concatenate(([0.0], h)))
+    powers = [0.0, alpha - 1.0, 1.0, alpha, 2.0 * alpha - 1.0]
+    quot = (vals[1:] - vals[0]) / h
+    return float(np.linalg.solve(np.power.outer(h, powers), quot)[0])
 
 
 def check_lamperti(alpha, lambda_grid):

@@ -316,11 +316,12 @@ def test_cut_raises_alike_on_arrays_and_floats(name):
 
 
 # max_abs_residual of check_resolvent_generator(gauss, alpha, grid) on the
-# resolvent workload's stratum edges, from the per-node scalar convolutions
-# this rule replaced; each is a boundary Richardson term
-SCAN_RESIDUALS = {1.08: 6.153656672010211e-04, 1.2: 8.660626836943552e-05,
-                  1.5: 9.67949761413741e-07, 1.8: 1.6346885248174606e-07,
-                  1.95: 2.7435770934997207e-08}
+# resolvent workload's stratum edges; each is a boundary term g'(0) or
+# h'(0), from the five-point fit of the difference quotient (the two-stage
+# Richardson before it left 6.2e-4, 8.7e-5, 9.7e-7, 1.6e-7 and 2.7e-8)
+SCAN_RESIDUALS = {1.08: 2.818123576952703e-06, 1.2: 3.7764901817609014e-07,
+                  1.5: 1.6040071885024348e-09, 1.8: 1.0875812468245393e-09,
+                  1.95: 1.3940703867682298e-10}
 
 
 def test_resolvent_generator_at_stratum_edges():
